@@ -42,7 +42,7 @@ EOF
 ./target/release/kmatch delta --input "$SMOKE_DIR/inst.json" \
     --deltas "$SMOKE_DIR/deltas.json" --metrics-out "$SMOKE_DIR/delta_report.json"
 ./target/release/kmatch report validate --input "$SMOKE_DIR/delta_report.json"
-for key in '"cache_hits"' '"cache_misses"' '"edges_dirty"' '"warm_solves"'; do
+for key in '"cache_hits"' '"cache_misses"' '"edges_dirty"' '"solves"'; do
   grep -qF "$key" "$SMOKE_DIR/delta_report.json" \
     || { echo "incremental smoke: missing $key in delta_report.json"; exit 1; }
 done

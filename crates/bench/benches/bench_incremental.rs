@@ -1,9 +1,10 @@
-//! Incremental solving: warm-start re-solve and cache-hit lookups versus
-//! a cold solve after a 1-row preference delta.
+//! Incremental solving: cache-hit lookups versus a rebuild and solve
+//! after a 1-row preference delta.
 //!
-//! The JSON acceptance numbers live in `bench_incremental_json`
-//! (`results/BENCH_incremental.json`); this criterion bench tracks the
-//! same three paths for regression spotting.
+//! The like-for-like apply/rebuild/cached rows live in
+//! `bench_incremental_json` (`results/BENCH_incremental.json`); this
+//! criterion bench tracks the rebuild and cache-hit paths for regression
+//! spotting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kmatch_bench::rng;
@@ -52,21 +53,6 @@ fn bench_incremental(c: &mut Criterion) {
                 next += 1;
                 csr.load(&shadow);
                 ws.solve(&csr).stats.proposals
-            })
-        });
-
-        // Warm: the incremental session re-frees only affected proposers.
-        let warm_deltas = delta_stream(n, 4096, 703);
-        let mut session = IncrementalGs::new(inst.clone());
-        session.solve();
-        let mut next = 0usize;
-        group.bench_function(BenchmarkId::new("warm_resolve", &id), |b| {
-            b.iter(|| {
-                session
-                    .apply(&warm_deltas[next % warm_deltas.len()])
-                    .expect("valid delta");
-                next += 1;
-                session.solve().stats.proposals
             })
         });
 

@@ -1,26 +1,28 @@
 //! Machine-readable incremental-solving measurements →
 //! `results/BENCH_incremental.json`.
 //!
-//! Replays a stream of 1-row preference deltas through three solvers and
-//! records the mean cost per delta of each:
+//! Replays a stream of 1-row preference deltas through two solvers and
+//! records the mean cost per delta of each, delta application included:
 //!
-//! - **cold** — what a non-incremental caller pays: reload the CSR arena
-//!   from the mutated instance and run a full solve (`cold_rebuild_ns`),
-//!   with the solve-only portion broken out (`cold_solve_ns`);
-//! - **warm** — `IncrementalGs::apply` + warm-start `resolve_delta`,
-//!   re-freeing only the proposers the delta can affect;
-//! - **cached** — a repeated solve of an unchanged state, served from the
-//!   content-addressed cache as a clone of the stored matching.
+//! - **rebuild** — what a non-incremental caller pays: apply the delta to
+//!   the instance, reload the CSR arena from it, and solve
+//!   (`rebuild_solve_ns`);
+//! - **apply** — `IncrementalGs::apply` (O(n) arena patch and fingerprint
+//!   update) plus a solve on the patched arena (`apply_solve_ns`);
 //!
-//! Acceptance (single-core host): warm ≥ 5x over cold at n = 2000, cache
-//! hits ≥ 50x over cold. Run with
+//! plus **cached** — a repeated solve of an unchanged state, served from
+//! the content-addressed cache as a clone of the stored matching
+//! (`cached_ns`). Both solving paths run the same engine on the same
+//! preferences, so their proposal counts must agree exactly; the bench
+//! asserts it. The two paths alternate which runs first per delta, so
+//! cache warmth favours neither. Run with
 //! `cargo run --release --bin bench_incremental_json`.
 
 use std::time::Instant;
 
 use kmatch_bench::harness::write_results;
 use kmatch_bench::rng;
-use kmatch_gs::GsWorkspace;
+use kmatch_gs::{GsOutcome, GsWorkspace};
 use kmatch_incremental::IncrementalGs;
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{CsrPrefs, DeltaSide, PrefDelta};
@@ -28,41 +30,41 @@ use rand::seq::SliceRandom;
 use serde::impl_json_struct;
 
 /// One instance-size comparison row. All `_ns` figures are means per
-/// delta (or per repeat, for `cached_ns`).
+/// delta (or per repeat, for `cached_ns`); proposal figures are totals.
 #[derive(Debug, Clone)]
 struct Row {
     n: usize,
     /// 1-row `SetRow` deltas replayed.
     deltas: usize,
-    /// CSR reload + full solve of the mutated instance.
-    cold_rebuild_ns: f64,
-    /// Full solve alone, arena already loaded.
-    cold_solve_ns: f64,
-    /// `IncrementalGs` delta apply + warm re-solve.
-    warm_ns: f64,
+    /// `IncrementalGs::apply` + solve on the patched arena.
+    apply_solve_ns: f64,
+    /// Instance edit + full CSR reload + solve.
+    rebuild_solve_ns: f64,
     /// Cache-hit solve of an unchanged state.
     cached_ns: f64,
-    /// `cold_rebuild_ns / warm_ns` — acceptance ≥ 5 at n = 2000.
-    warm_speedup: f64,
-    /// `cold_rebuild_ns / cached_ns` — acceptance ≥ 50 at n = 2000.
+    /// `rebuild_solve_ns / apply_solve_ns`.
+    apply_speedup: f64,
+    /// `rebuild_solve_ns / cached_ns`.
     cached_speedup: f64,
-    /// Proposals the warm re-solves executed, total.
-    warm_proposals: u64,
-    /// Proposals the cold re-solves executed, total.
-    cold_proposals: u64,
+    /// Proposals of the solves on the patched arena.
+    apply_proposals: u64,
+    /// Proposals of the solves on the rebuilt arena.
+    rebuild_proposals: u64,
+    /// Proposals of the cache-hit solves (none run the engine).
+    cached_proposals: u64,
 }
 
 impl_json_struct!(Row {
     n,
     deltas,
-    cold_rebuild_ns,
-    cold_solve_ns,
-    warm_ns,
+    apply_solve_ns,
+    rebuild_solve_ns,
     cached_ns,
-    warm_speedup,
+    apply_speedup,
     cached_speedup,
-    warm_proposals,
-    cold_proposals
+    apply_proposals,
+    rebuild_proposals,
+    cached_proposals
 });
 
 #[derive(Debug, Clone)]
@@ -76,7 +78,7 @@ fn row(n: usize, deltas: usize) -> Row {
     let mut r = rng(601 + n as u64);
     let inst = uniform_bipartite(n, &mut r);
 
-    // Distinct random row rewrites so every warm solve is a true cache
+    // Distinct random row rewrites so every session solve is a true cache
     // miss (a repeated state would be served from the cache instead).
     let stream: Vec<PrefDelta> = (0..deltas)
         .map(|i| {
@@ -100,53 +102,66 @@ fn row(n: usize, deltas: usize) -> Row {
     let mut session = IncrementalGs::new(inst);
     session.solve();
 
-    let (mut rebuild_ns, mut solve_ns, mut warm_ns) = (0u64, 0u64, 0u64);
-    let (mut warm_proposals, mut cold_proposals) = (0u64, 0u64);
-    for delta in &stream {
+    let mut rebuild = |delta: &PrefDelta| -> (u64, GsOutcome) {
+        let t = Instant::now();
         shadow.apply_delta(delta).expect("generated delta is valid");
-        let t0 = Instant::now();
         csr.load(&shadow);
-        let t1 = Instant::now();
-        let cold = ws.solve(&csr);
-        let t2 = Instant::now();
-        rebuild_ns += (t2 - t0).as_nanos() as u64;
-        solve_ns += (t2 - t1).as_nanos() as u64;
-        cold_proposals += cold.stats.proposals;
-
+        let out = ws.solve(&csr);
+        (t.elapsed().as_nanos() as u64, out)
+    };
+    let mut apply = |delta: &PrefDelta| -> (u64, GsOutcome) {
+        let t = Instant::now();
         session.apply(delta).expect("generated delta is valid");
-        let t3 = Instant::now();
-        let warm = session.solve();
-        warm_ns += t3.elapsed().as_nanos() as u64;
-        warm_proposals += warm.stats.proposals;
+        let out = session.solve();
+        (t.elapsed().as_nanos() as u64, out)
+    };
+    let (mut rebuild_ns, mut apply_ns) = (0u64, 0u64);
+    let (mut rebuild_proposals, mut apply_proposals) = (0u64, 0u64);
+    for (i, delta) in stream.iter().enumerate() {
+        let ((r_ns, rebuilt), (a_ns, applied)) = if i % 2 == 0 {
+            let r = rebuild(delta);
+            (r, apply(delta))
+        } else {
+            let a = apply(delta);
+            (rebuild(delta), a)
+        };
         assert_eq!(
-            warm.matching, cold.matching,
-            "warm re-solve diverged from cold at n = {n}"
+            applied.matching, rebuilt.matching,
+            "patched-arena solve diverged from rebuild at n = {n}"
         );
+        assert_eq!(
+            applied.stats, rebuilt.stats,
+            "patched arena ran a different schedule at n = {n}"
+        );
+        rebuild_ns += r_ns;
+        apply_ns += a_ns;
+        rebuild_proposals += rebuilt.stats.proposals;
+        apply_proposals += applied.stats.proposals;
     }
 
     // Cache hits: the state is unchanged, so every further solve is a
     // fingerprint lookup plus a matching clone.
     let cached_reps = deltas.max(100);
+    let mut cached_proposals = 0u64;
     let t = Instant::now();
     for _ in 0..cached_reps {
-        session.solve();
+        cached_proposals += session.solve().stats.proposals;
     }
     let cached_ns = t.elapsed().as_nanos() as f64 / cached_reps as f64;
 
-    let cold_rebuild_ns = rebuild_ns as f64 / deltas as f64;
-    let cold_solve_ns = solve_ns as f64 / deltas as f64;
-    let warm_mean = warm_ns as f64 / deltas as f64;
+    let rebuild_solve_ns = rebuild_ns as f64 / deltas as f64;
+    let apply_solve_ns = apply_ns as f64 / deltas as f64;
     Row {
         n,
         deltas,
-        cold_rebuild_ns,
-        cold_solve_ns,
-        warm_ns: warm_mean,
+        apply_solve_ns,
+        rebuild_solve_ns,
         cached_ns,
-        warm_speedup: cold_rebuild_ns / warm_mean,
-        cached_speedup: cold_rebuild_ns / cached_ns,
-        warm_proposals,
-        cold_proposals,
+        apply_speedup: rebuild_solve_ns / apply_solve_ns,
+        cached_speedup: rebuild_solve_ns / cached_ns,
+        apply_proposals,
+        rebuild_proposals,
+        cached_proposals,
     }
 }
 
@@ -158,17 +173,17 @@ fn main() {
 
     for row in &rows {
         println!(
-            "n = {:>5}: cold {:>10.0} ns (solve {:>10.0} ns)  warm {:>9.0} ns ({:.1}x)  \
-             cached {:>7.0} ns ({:.1}x)  proposals {} warm / {} cold",
+            "n = {:>5}: rebuild+solve {:>10.0} ns  apply+solve {:>9.0} ns ({:.1}x)  \
+             cached {:>7.0} ns ({:.1}x)  proposals {} apply / {} rebuild / {} cached",
             row.n,
-            row.cold_rebuild_ns,
-            row.cold_solve_ns,
-            row.warm_ns,
-            row.warm_speedup,
+            row.rebuild_solve_ns,
+            row.apply_solve_ns,
+            row.apply_speedup,
             row.cached_ns,
             row.cached_speedup,
-            row.warm_proposals,
-            row.cold_proposals,
+            row.apply_proposals,
+            row.rebuild_proposals,
+            row.cached_proposals,
         );
     }
 

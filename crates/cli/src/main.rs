@@ -103,8 +103,9 @@ USAGE:
 
   delta reads a bipartite instance plus a JSON array of preference
   deltas ({\"op\": \"set_row\"|\"swap\"|\"splice\", \"side\", \"row\", ...}) and
-  replays them through the warm-start incremental session against a
-  cold re-solve, reporting per-delta timings and proposal counts.
+  applies each through the incremental session (O(n) arena patch, then
+  solve) against a full rebuild and solve, reporting per-delta timings
+  and proposal counts.
 
   bind --incremental true binds through the dirty-edge session;
   --updates FILE applies preference-row rewrites ({\"gender\", \"index\",
@@ -1797,10 +1798,11 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay a JSON delta stream through the warm-start incremental GS
-/// session against a cold re-solve of the mutated instance, reporting
-/// per-delta wall time and executed proposals for both. The two must
-/// produce byte-identical matchings; a divergence aborts the command.
+/// Replay a JSON delta stream through the incremental GS session (patch
+/// the arena, then solve) against a full rebuild and solve of the mutated
+/// instance, reporting per-delta wall time and executed proposals for
+/// both. The two must produce byte-identical matchings; a divergence
+/// aborts the command.
 fn delta_cmd(args: &Args) -> Result<(), String> {
     args.check_known(&[
         "input",
@@ -1834,68 +1836,68 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
     let trace_clock = kmatch_obs::StdClock::new();
     let mut sink = topts.enabled().then(|| topts.sink(&trace_clock));
     // Prime both solvers so every reported pair is a steady-state re-solve.
-    let mut cold_ws = GsWorkspace::with_capacity(n);
-    let mut cold_csr = CsrPrefs::new();
-    cold_csr.load(&shadow);
-    let base = match sink.as_mut() {
+    let mut rebuild_ws = GsWorkspace::with_capacity(n);
+    let mut rebuild_csr = CsrPrefs::new();
+    rebuild_csr.load(&shadow);
+    let session_base = match sink.as_mut() {
         Some(sink) => session.solve_spanned(&mut metrics, sink),
         None => session.solve_metered(&mut metrics),
     };
-    let cold_base = cold_ws.solve(&cold_csr);
-    debug_assert_eq!(base.matching, cold_base.matching);
+    let base = rebuild_ws.solve(&rebuild_csr);
+    debug_assert_eq!(session_base.matching, base.matching);
     println!(
         "baseline     : n={n}, {} proposals, {} deltas queued",
-        cold_base.stats.proposals,
+        base.stats.proposals,
         deltas.len()
     );
     let start = std::time::Instant::now();
-    let (mut warm_ns, mut cold_ns) = (0u64, 0u64);
-    let (mut warm_props, mut cold_props) = (0u64, 0u64);
+    let (mut apply_ns, mut rebuild_ns) = (0u64, 0u64);
+    let (mut apply_props, mut rebuild_props) = (0u64, 0u64);
     for (i, delta) in deltas.iter().enumerate() {
+        let t0 = std::time::Instant::now();
         session
             .apply(delta)
             .map_err(|e| format!("delta {i}: {e}"))?;
-        let t0 = std::time::Instant::now();
-        let warm = match sink.as_mut() {
+        let applied = match sink.as_mut() {
             Some(sink) => session.solve_spanned(&mut metrics, sink),
             None => session.solve_metered(&mut metrics),
         };
-        let w_ns = t0.elapsed().as_nanos() as u64;
-        metrics.solve_ns(w_ns);
+        let a_ns = t0.elapsed().as_nanos() as u64;
+        metrics.solve_ns(a_ns);
         shadow
             .apply_delta(delta)
             .map_err(|e| format!("delta {i}: {e}"))?;
         let t1 = std::time::Instant::now();
-        cold_csr.load(&shadow);
-        let cold = cold_ws.solve(&cold_csr);
-        let c_ns = t1.elapsed().as_nanos() as u64;
-        if warm.matching != cold.matching {
-            return Err(format!("delta {i}: warm and cold matchings diverge (bug)"));
+        rebuild_csr.load(&shadow);
+        let rebuilt = rebuild_ws.solve(&rebuild_csr);
+        let r_ns = t1.elapsed().as_nanos() as u64;
+        if applied.matching != rebuilt.matching {
+            return Err(format!("delta {i}: patched and rebuilt matchings diverge (bug)"));
         }
         let d = PrefDeltaDto::from(delta);
         println!(
-            "delta {i:>4} ({} {} row {}): warm {:>9.1} us / {:>6} proposals   \
-             cold {:>9.1} us / {:>6} proposals",
+            "delta {i:>4} ({} {} row {}): apply {:>9.1} us / {:>6} proposals   \
+             rebuild {:>9.1} us / {:>6} proposals",
             d.op,
             d.side,
             d.row,
-            w_ns as f64 / 1e3,
-            warm.stats.proposals,
-            c_ns as f64 / 1e3,
-            cold.stats.proposals,
+            a_ns as f64 / 1e3,
+            applied.stats.proposals,
+            r_ns as f64 / 1e3,
+            rebuilt.stats.proposals,
         );
-        warm_ns += w_ns;
-        cold_ns += c_ns;
-        warm_props += warm.stats.proposals;
-        cold_props += cold.stats.proposals;
+        apply_ns += a_ns;
+        rebuild_ns += r_ns;
+        apply_props += applied.stats.proposals;
+        rebuild_props += rebuilt.stats.proposals;
     }
     if !deltas.is_empty() {
         println!(
-            "totals       : warm {:.1} us / {warm_props} proposals, \
-             cold {:.1} us / {cold_props} proposals ({:.1}x)",
-            warm_ns as f64 / 1e3,
-            cold_ns as f64 / 1e3,
-            cold_ns as f64 / (warm_ns as f64).max(1.0),
+            "totals       : apply {:.1} us / {apply_props} proposals, \
+             rebuild {:.1} us / {rebuild_props} proposals ({:.1}x)",
+            apply_ns as f64 / 1e3,
+            rebuild_ns as f64 / 1e3,
+            rebuild_ns as f64 / (apply_ns as f64).max(1.0),
         );
     }
     if let Some(sink) = sink {
@@ -2684,7 +2686,7 @@ mod tests {
         call(&["report", "validate", "--input", report.to_str().unwrap()]).unwrap();
         let text = std::fs::read_to_string(&report).unwrap();
         assert!(text.contains("\"cache_hits\""), "got:\n{text}");
-        assert!(text.contains("\"warm_solves\""), "got:\n{text}");
+        assert!(text.contains("\"solves\""), "got:\n{text}");
         // A malformed delta is rejected with its index.
         std::fs::write(&deltas, r#"[{"op": "reverse"}]"#).unwrap();
         let err = call(&[

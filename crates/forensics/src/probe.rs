@@ -11,12 +11,23 @@
 //! undefined behavior, because every field is itself an atomic word.
 //!
 //! * The **single writer** (the worker's `Probed` adapter) bumps `seq`
-//!   to odd with `Release`, stores the fields `Relaxed`, then bumps
-//!   `seq` to even with `Release`. Publishing is wait-free: five
-//!   uncontended atomic stores.
-//! * **Readers** load `seq` with `Acquire`, load the fields, re-load
-//!   `seq`, and retry on odd-or-changed. Retries are bounded: a writer
-//!   publishes at coarse intervals (per round / per 1024 events), so a
+//!   to odd, issues a `Release` fence, stores the fields `Relaxed`, then
+//!   bumps `seq` to even with `Release`. Publishing is wait-free: six
+//!   uncontended atomic stores and one fence.
+//! * **Readers** load `seq` with `Acquire`, load the fields, issue an
+//!   `Acquire` fence, re-load `seq`, and retry on odd-or-changed.
+//! * The two fences are what make `consistent = true` true (Boehm, "Can
+//!   seqlocks get along with programming language memory models?",
+//!   MSPC 2012). A `Release` *store* only orders earlier accesses before
+//!   it, so without the writer's fence a field store could become
+//!   visible before the odd `seq`; an `Acquire` *load* only orders later
+//!   accesses after it, so without the reader's fence a field load could
+//!   be satisfied after the second `seq` load. Either reordering lets a
+//!   reader see an unchanged even `seq` around a half-written reading.
+//!   With the fences, a reader that observes any field store of a
+//!   publish also observes that publish's odd `seq` on its second load
+//!   (fence–fence synchronization), so it retries.
+//! * Retries are bounded: a writer publishes at coarse intervals (per round / per 1024 events), so a
 //!   reader colliding with a write window twice in a row is already
 //!   rare; after [`SNAPSHOT_RETRIES`] failed rounds the reader keeps the
 //!   last (possibly cross-field-skewed, never torn) values and marks the
@@ -26,7 +37,7 @@
 //!   heartbeat — any publish moves it, so "generation frozen" ⇔ "worker
 //!   not reaching publish points" ⇔ stalled.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use kmatch_obs::phase;
 
@@ -91,6 +102,8 @@ impl WorkerProbe {
     pub fn publish(&self, phase: u32, attempt: u32, cut: u32, round: u64, proposals: u64) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Release);
+        // Orders the odd store before the field stores (see module docs).
+        fence(Ordering::Release);
         self.phase_attempt
             .store(((phase as u64) << 32) | attempt as u64, Ordering::Relaxed);
         self.cut.store(cut as u64, Ordering::Relaxed);
@@ -113,6 +126,8 @@ impl WorkerProbe {
             cut = self.cut.load(Ordering::Relaxed);
             round = self.round.load(Ordering::Relaxed);
             proposals = self.proposals.load(Ordering::Relaxed);
+            // Orders the field loads before the second `seq` load.
+            fence(Ordering::Acquire);
             let s2 = self.seq.load(Ordering::Acquire);
             seq = s2;
             if s1 == s2 && s1 & 1 == 0 {

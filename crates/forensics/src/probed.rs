@@ -253,16 +253,6 @@ impl<M: Metrics, T: ProbeTarget> Metrics for Probed<M, T> {
         self.inner.binding_edge_reuse(dirty);
     }
 
-    #[inline(always)]
-    fn warm_resolve(&mut self, refreed: u64) {
-        self.inner.warm_resolve(refreed);
-    }
-
-    #[inline(always)]
-    fn warm_fallback(&mut self) {
-        self.inner.warm_fallback();
-    }
-
     #[inline]
     fn escalation_attempt(&mut self, cut: u32) {
         self.inner.escalation_attempt(cut);

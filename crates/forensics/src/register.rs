@@ -14,7 +14,7 @@
 //! phase-level spans (a handful per solve), never per event inside a
 //! phase.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use kmatch_trace::SpanSink;
@@ -97,6 +97,7 @@ impl SpanRegister {
     pub fn push(&self, id: u32) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Release);
+        fence(Ordering::Release);
         let d = self.depth.load(Ordering::Relaxed);
         if (d as usize) < MAX_DEPTH {
             self.stack[d as usize].store(id, Ordering::Relaxed);
@@ -110,6 +111,7 @@ impl SpanRegister {
     pub fn pop(&self) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Release);
+        fence(Ordering::Release);
         let d = self.depth.load(Ordering::Relaxed);
         self.depth.store(d.saturating_sub(1), Ordering::Relaxed);
         self.seq.store(s.wrapping_add(2), Ordering::Release);
@@ -130,6 +132,7 @@ impl SpanRegister {
                 .iter()
                 .map(|a| a.load(Ordering::Relaxed))
                 .collect();
+            fence(Ordering::Acquire);
             let s2 = self.seq.load(Ordering::Acquire);
             if s1 == s2 {
                 return stack;

@@ -48,8 +48,8 @@
 //!   arrays owned by the returned matching.
 
 use kmatch_obs::{Metrics, NoMetrics};
-use kmatch_prefs::{BipartitePrefs, DeltaSide, PrefDelta, PrefOracle};
-use kmatch_trace::{reason, span, NoSpans, SpanSink};
+use kmatch_prefs::{BipartitePrefs, PrefOracle};
+use kmatch_trace::{span, NoSpans, SpanSink};
 
 use crate::incomplete::{PartialMatching, UNMATCHED};
 use crate::matching::BipartiteMatching;
@@ -167,26 +167,6 @@ pub struct GsWorkspace {
     free: Vec<u32>,
     /// Proposers rejected this round, i.e. next round's `free`.
     next_free: Vec<u32>,
-    /// Side size of the last completed solve, or 0 when `next`/`best` do
-    /// not hold a finished execution (never solved, or mid-solve). The
-    /// warm-start gate: [`GsWorkspace::resolve_delta`] falls back to a
-    /// cold solve unless this matches the incoming instance.
-    solved_n: usize,
-    /// Warm-start scratch: proposers scheduled for a full re-free.
-    mark: Vec<bool>,
-    /// Warm-start scratch: responders already regressed this cascade.
-    wmark: Vec<bool>,
-    /// Warm-start scratch: `fiance[m]` = responder held by proposer `m`
-    /// in the previous solve (the inverse of `best`'s low words).
-    fiance: Vec<u32>,
-    /// Warm-start scratch: worklist of responders awaiting regression.
-    rework: Vec<u32>,
-    /// Warm-start scratch: counting-sort offsets into [`GsWorkspace::passer`]
-    /// (`n + 1` entries; see `warm_core` for the post-fill convention).
-    passer_off: Vec<u32>,
-    /// Warm-start scratch: proposers grouped by responder — the proposers
-    /// whose consumed list prefix contains each responder.
-    passer: Vec<u32>,
 }
 
 /// Packed `best` entry of a responder with no provisional fiancé.
@@ -208,26 +188,18 @@ impl GsWorkspace {
             best: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
             next_free: Vec::with_capacity(n),
-            ..GsWorkspace::default()
         }
     }
 
     /// Bytes of scratch this workspace currently holds across all its
     /// buffers — the deterministic *arena-bytes* figure the scaling
-    /// benchmarks record next to peak RSS. O(n) after a size-n solve
-    /// (the warm-start scratch is the largest term at 17 bytes/agent),
+    /// benchmarks record next to peak RSS. O(n) after a size-n solve,
     /// independent of the preference backend.
     pub fn resident_bytes(&self) -> usize {
         self.next.capacity() * size_of::<u32>()
             + self.best.capacity() * size_of::<u64>()
             + self.free.capacity() * size_of::<u32>()
             + self.next_free.capacity() * size_of::<u32>()
-            + self.mark.capacity() * size_of::<bool>()
-            + self.wmark.capacity() * size_of::<bool>()
-            + self.fiance.capacity() * size_of::<u32>()
-            + self.rework.capacity() * size_of::<u32>()
-            + self.passer_off.capacity() * size_of::<u32>()
-            + self.passer.capacity() * size_of::<u32>()
     }
 
     /// Prepare all buffers for an instance of size `n`. Returns whether
@@ -236,7 +208,6 @@ impl GsWorkspace {
         let fresh = self.next.capacity() < n
             || self.best.capacity() < n
             || self.free.capacity() < n;
-        self.solved_n = 0;
         self.next.clear();
         self.next.resize(n, 0);
         self.best.clear();
@@ -286,8 +257,6 @@ impl GsWorkspace {
             &mut NoSpans,
             &mut stats,
         );
-        // `solved_n` stays 0: a partial execution is not a valid
-        // warm-start seed (resolve_delta would read FREE holders).
         finish_partial(self, stats)
     }
 
@@ -320,62 +289,6 @@ impl GsWorkspace {
     ) -> GsOutcome {
         run_core(prefs, self, &mut NoTrace, metrics, spans)
     }
-
-    /// Warm-start re-solve after an in-place preference edit.
-    ///
-    /// `prefs` must already reflect `deltas` (mutate the instance first,
-    /// e.g. via `BipartiteInstance::apply_delta`), and this workspace must
-    /// hold the finished execution of a previous [`GsWorkspace::solve`] /
-    /// [`GsWorkspace::resolve_delta`] on the *pre-delta* version of the
-    /// same instance. When those conditions cannot be verified cheaply
-    /// (different side size, or no previous solve) the call silently
-    /// degrades to a cold [`GsWorkspace::solve`].
-    ///
-    /// The warm path re-frees only the proposers whose outcome can have
-    /// changed: proposers with rewritten rows, plus — transitively —
-    /// anyone who has already passed a responder whose provisional
-    /// engagement the edit dissolves. Every other proposer keeps its
-    /// engagement and executes **zero** proposals. By the
-    /// order-independence of deferred acceptance (McVitie–Wilson), the
-    /// resumed execution reaches exactly the proposer-optimal matching of
-    /// the post-delta instance, i.e. the matching a cold solve returns;
-    /// only the proposal/round *counters* differ (the warm run skips the
-    /// proposals whose outcome is already known).
-    pub fn resolve_delta<P: PrefOracle>(
-        &mut self,
-        prefs: &P,
-        deltas: &[PrefDelta],
-    ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, &mut NoMetrics, &mut NoSpans)
-    }
-
-    /// [`GsWorkspace::resolve_delta`] with metric hooks: records
-    /// [`Metrics::warm_resolve`] (with the re-freed proposer count) on the
-    /// warm path and [`Metrics::warm_fallback`] when it degrades to a
-    /// cold solve.
-    pub fn resolve_delta_metered<P: PrefOracle, M: Metrics>(
-        &mut self,
-        prefs: &P,
-        deltas: &[PrefDelta],
-        metrics: &mut M,
-    ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, metrics, &mut NoSpans)
-    }
-
-    /// [`GsWorkspace::resolve_delta_metered`] that additionally emits a
-    /// span timeline: a `gs.warm.resolve` instant (arg = re-freed
-    /// proposers) on the warm path, or a `gs.warm.fallback` instant
-    /// carrying a [`kmatch_trace::reason`] code when it degrades to a
-    /// cold solve, followed by the usual `gs.solve`/`gs.round` spans.
-    pub fn resolve_delta_spanned<P: PrefOracle, M: Metrics, S: SpanSink>(
-        &mut self,
-        prefs: &P,
-        deltas: &[PrefDelta],
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, metrics, spans)
-    }
 }
 
 /// The engine core, monomorphized per tracer, metrics sink, and span
@@ -403,8 +316,6 @@ fn run_core<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
     run_rounds(prefs, ws, tracer, metrics, spans, &mut stats);
     spans.end(span::GS_SOLVE);
     metrics.solve_done(true, stats.proposals);
-    ws.solved_n = n;
-
     finish(ws, stats)
 }
 
@@ -443,162 +354,6 @@ fn finish_partial(ws: &GsWorkspace, stats: GsStats) -> (PartialMatching, GsStats
         },
         stats,
     )
-}
-
-/// The warm-start core: regress the smallest self-consistent set of
-/// engagements, then resume the round loop.
-///
-/// The cascade maintains one invariant — *the surviving state is a valid
-/// partial deferred-acceptance execution of the post-delta instance*:
-/// for every un-re-freed proposer `m`, every responder ranked before
-/// `next[m]` in `m`'s list either still holds a suitor she prefers to
-/// `m` (clean responders: rows and holders unchanged, and her final
-/// holder from the previous run was her best-ever suitor) or has been
-/// regressed — and regressing a responder re-frees every proposer that
-/// had already passed her, so no stale rejection survives.
-fn warm_core<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
-    prefs: &P,
-    ws: &mut GsWorkspace,
-    deltas: &[PrefDelta],
-    tracer: &mut T,
-    metrics: &mut M,
-    spans: &mut S,
-) -> GsOutcome {
-    let n = prefs.n();
-    assert!(n > 0, "empty instance");
-    if ws.solved_n != n {
-        metrics.warm_fallback();
-        spans.instant(
-            span::GS_WARM_FALLBACK,
-            if ws.solved_n == 0 {
-                reason::COLD_START
-            } else {
-                reason::SIZE_MISMATCH
-            },
-        );
-        return run_core(prefs, ws, tracer, metrics, spans);
-    }
-    spans.begin(span::GS_SOLVE, n as u64);
-
-    // Invert `best` into the proposer-indexed engagement table.
-    ws.fiance.clear();
-    ws.fiance.resize(n, FREE);
-    for (w, &best) in ws.best.iter().enumerate() {
-        let m = best as u32;
-        debug_assert_ne!(m, FREE, "solved_n set ⇒ the previous run finished");
-        ws.fiance[m as usize] = w as u32;
-    }
-    ws.mark.clear();
-    ws.mark.resize(n, false);
-    ws.wmark.clear();
-    ws.wmark.resize(n, false);
-    ws.rework.clear();
-
-    // Seed the cascade from the rewritten rows.
-    for delta in deltas {
-        let row = delta.row() as usize;
-        assert!(row < n, "delta names a row outside the instance");
-        match delta.side() {
-            DeltaSide::Proposer => {
-                if !ws.mark[row] {
-                    ws.mark[row] = true;
-                    ws.rework.push(ws.fiance[row]);
-                }
-            }
-            DeltaSide::Responder => ws.rework.push(row as u32),
-        }
-    }
-
-    // Regress responders to a fixpoint. Processing responder `w` vacates
-    // her slot and re-frees every not-yet-marked proposer that has
-    // already consumed `w`'s position in its list; re-freeing an engaged
-    // proposer dissolves his engagement, which regresses *his* responder
-    // in turn. Unmarked proposers have unchanged rows, so ranks against
-    // the post-delta `prefs` equal the ranks the previous run consumed.
-    //
-    // "Who already consumed w?" is answered from an inverted index built
-    // once per warm call: a counting-sort of every proposer's consumed
-    // prefix, grouped by responder. That costs O(n + Σ next[m]) — about
-    // n·(1 + H_n) for uniform instances — where scanning all n proposers
-    // per regressed responder would cost O(n · cascade), which dominated
-    // the warm path on large instances. `next` is frozen during the
-    // cascade (re-frees happen after), so prefix membership computed here
-    // stays exact at pop time. Prefixes are walked per position through
-    // the oracle's candidate query (same complexity as the former slice
-    // walk; arena backends still serve sequential loads).
-    if !ws.rework.is_empty() {
-        ws.passer_off.clear();
-        ws.passer_off.resize(n + 1, 0);
-        for m in 0..n {
-            for pos in 0..ws.next[m] {
-                let w = prefs.candidate(m as u32, pos);
-                ws.passer_off[w as usize + 1] += 1;
-            }
-        }
-        for w in 0..n {
-            ws.passer_off[w + 1] += ws.passer_off[w];
-        }
-        ws.passer.clear();
-        ws.passer.resize(ws.passer_off[n] as usize, 0);
-        for m in 0..n {
-            for pos in 0..ws.next[m] {
-                let w = prefs.candidate(m as u32, pos);
-                ws.passer[ws.passer_off[w as usize] as usize] = m as u32;
-                ws.passer_off[w as usize] += 1;
-            }
-        }
-        // The fill advanced each offset to its group's end, so `w`'s
-        // passers now live at `passer_off[w-1]..passer_off[w]` (0-based
-        // start for `w == 0`).
-    }
-    while let Some(w) = ws.rework.pop() {
-        let w_us = w as usize;
-        if ws.wmark[w_us] {
-            continue;
-        }
-        ws.wmark[w_us] = true;
-        ws.best[w_us] = VACANT;
-        let start = if w_us == 0 {
-            0
-        } else {
-            ws.passer_off[w_us - 1] as usize
-        };
-        let end = ws.passer_off[w_us] as usize;
-        for idx in start..end {
-            let m = ws.passer[idx] as usize;
-            if ws.mark[m] {
-                continue;
-            }
-            ws.mark[m] = true;
-            let wf = ws.fiance[m];
-            if wf != FREE && !ws.wmark[wf as usize] {
-                ws.rework.push(wf);
-            }
-        }
-    }
-
-    // Re-free the marked proposers from the top of their lists and
-    // resume the ordinary round loop on the surviving state.
-    ws.free.clear();
-    ws.next_free.clear();
-    let mut refreed = 0u64;
-    for m in 0..n as u32 {
-        if ws.mark[m as usize] {
-            ws.next[m as usize] = 0;
-            ws.free.push(m);
-            refreed += 1;
-        }
-    }
-    metrics.workspace(false);
-    metrics.warm_resolve(refreed);
-    spans.instant(span::GS_WARM_RESOLVE, refreed);
-    metrics.phase_enter(kmatch_obs::phase::GS_WARM);
-    let mut stats = GsStats::default();
-    run_rounds(prefs, ws, tracer, metrics, spans, &mut stats);
-    spans.end(span::GS_SOLVE);
-    metrics.solve_done(true, stats.proposals);
-    ws.solved_n = n;
-    finish(ws, stats)
 }
 
 /// Event-ordered rounds: one pass per proposal, tracer hooks at the exact
@@ -1205,141 +960,6 @@ mod tests {
         assert_eq!(out.stats.proposals, 1);
     }
 
-    use rand::Rng;
-
-    /// Draw one random delta against an `n × n` instance, using rows of a
-    /// second random instance as `SetRow` payloads.
-    fn random_delta(n: usize, donor: &kmatch_prefs::BipartiteInstance, rng: &mut impl Rng) -> PrefDelta {
-        let side = if rng.gen_bool(0.5) {
-            DeltaSide::Proposer
-        } else {
-            DeltaSide::Responder
-        };
-        let row = rng.gen_range(0..n) as u32;
-        match rng.gen_range(0..3u32) {
-            0 => PrefDelta::SetRow {
-                side,
-                row,
-                prefs: match side {
-                    DeltaSide::Proposer => donor.proposer_list(row).to_vec(),
-                    DeltaSide::Responder => donor.responder_list(row).to_vec(),
-                },
-            },
-            1 => PrefDelta::Swap {
-                side,
-                row,
-                a: rng.gen_range(0..n) as u32,
-                b: rng.gen_range(0..n) as u32,
-            },
-            _ => PrefDelta::Splice {
-                side,
-                row,
-                from: rng.gen_range(0..n) as u32,
-                to: rng.gen_range(0..n) as u32,
-            },
-        }
-    }
-
-    #[test]
-    fn warm_resolve_matches_cold_over_random_deltas() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut ws = GsWorkspace::new();
-        for n in [1usize, 2, 8, 23, 40] {
-            let mut inst = uniform_bipartite(n, &mut rng);
-            let donor = uniform_bipartite(n, &mut rng);
-            ws.solve(&inst);
-            for step in 0..12 {
-                let delta = random_delta(n, &donor, &mut rng);
-                inst.apply_delta(&delta).unwrap();
-                let warm = ws.resolve_delta(&inst, std::slice::from_ref(&delta));
-                let cold = gale_shapley(&inst);
-                assert_eq!(warm.matching, cold.matching, "n = {n}, step = {step}");
-                assert!(crate::stability::is_stable(&inst, &warm.matching));
-            }
-        }
-    }
-
-    #[test]
-    fn warm_resolve_accepts_multi_row_delta_batches() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut ws = GsWorkspace::new();
-        let n = 19usize;
-        let mut inst = uniform_bipartite(n, &mut rng);
-        let donor = uniform_bipartite(n, &mut rng);
-        ws.solve(&inst);
-        for _ in 0..8 {
-            let deltas: Vec<PrefDelta> =
-                (0..3).map(|_| random_delta(n, &donor, &mut rng)).collect();
-            for d in &deltas {
-                inst.apply_delta(d).unwrap();
-            }
-            let warm = ws.resolve_delta(&inst, &deltas);
-            assert_eq!(warm.matching, gale_shapley(&inst).matching);
-        }
-    }
-
-    #[test]
-    fn warm_resolve_with_no_deltas_replays_previous_matching() {
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let inst = uniform_bipartite(17, &mut rng);
-        let mut ws = GsWorkspace::new();
-        let cold = ws.solve(&inst);
-        let warm = ws.resolve_delta(&inst, &[]);
-        assert_eq!(warm.matching, cold.matching);
-        assert_eq!(warm.stats.proposals, 0);
-        assert_eq!(warm.stats.rounds, 0);
-    }
-
-    #[test]
-    fn warm_resolve_falls_back_cold_on_size_mismatch() {
-        use kmatch_obs::SolverMetrics;
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let mut ws = GsWorkspace::new();
-        ws.solve(&uniform_bipartite(9, &mut rng));
-        let other = uniform_bipartite(14, &mut rng);
-        let mut m = SolverMetrics::new();
-        let out = ws.resolve_delta_metered(&other, &[], &mut m);
-        assert_eq!(out.matching, gale_shapley(&other).matching);
-        assert_eq!(m.warm_fallbacks, 1);
-        assert_eq!(m.warm_solves, 0);
-        // A fresh workspace has no previous execution at all.
-        let mut cold_ws = GsWorkspace::new();
-        let out2 = cold_ws.resolve_delta_metered(&other, &[], &mut m);
-        assert_eq!(out2.matching, out.matching);
-        assert_eq!(m.warm_fallbacks, 2);
-    }
-
-    #[test]
-    fn warm_resolve_refrees_few_proposers_on_one_row_delta() {
-        use kmatch_obs::SolverMetrics;
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let n = 60usize;
-        let mut inst = uniform_bipartite(n, &mut rng);
-        let mut ws = GsWorkspace::new();
-        ws.solve(&inst);
-        let delta = PrefDelta::Swap {
-            side: DeltaSide::Proposer,
-            row: 7,
-            a: (n - 1) as u32,
-            b: (n - 2) as u32,
-        };
-        inst.apply_delta(&delta).unwrap();
-        let cold = gale_shapley(&inst);
-        let mut m = SolverMetrics::new();
-        let warm = ws.resolve_delta_metered(&inst, std::slice::from_ref(&delta), &mut m);
-        assert_eq!(warm.matching, cold.matching);
-        assert_eq!(m.warm_solves, 1);
-        // Only the cascade around row 7 re-runs; the warm run must issue
-        // far fewer proposals than the full cold execution did.
-        assert!(m.refreed_proposers < n as u64);
-        assert!(
-            warm.stats.proposals <= cold.stats.proposals,
-            "warm replay ({}) exceeded the cold run ({})",
-            warm.stats.proposals,
-            cold.stats.proposals
-        );
-    }
-
     #[test]
     fn random_oracle_solve_matches_materialized_csr() {
         // The lazy backend and its O(n²) materialization must run the
@@ -1431,43 +1051,5 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn warm_resolve_works_through_a_lazy_oracle_fallback() {
-        // resolve_delta on a workspace whose last solve was lazy must
-        // fall back cleanly (solved_n matches, deltas empty → replay).
-        use kmatch_prefs::RandomOracle;
-        let oracle = RandomOracle::new(29, 3);
-        let mut ws = GsWorkspace::new();
-        let cold = ws.solve(&oracle);
-        let warm = ws.resolve_delta(&oracle, &[]);
-        assert_eq!(warm.matching, cold.matching);
-        assert_eq!(warm.stats.proposals, 0);
-    }
-
-    #[test]
-    fn warm_resolve_output_is_stable_by_exhaustive_check() {
-        // Brute-force cross-check at n ≤ 8: after each delta the warm
-        // result must appear in the exhaustively enumerated stable set of
-        // the *mutated* instance — and be its proposer-optimal element
-        // (what cold GS returns).
-        let mut rng = ChaCha8Rng::seed_from_u64(15);
-        for n in [4usize, 6, 8] {
-            let mut inst = uniform_bipartite(n, &mut rng);
-            let donor = uniform_bipartite(n, &mut rng);
-            let mut ws = GsWorkspace::new();
-            ws.solve(&inst);
-            for _ in 0..10 {
-                let delta = random_delta(n, &donor, &mut rng);
-                inst.apply_delta(&delta).unwrap();
-                let warm = ws.resolve_delta(&inst, std::slice::from_ref(&delta));
-                let all = crate::stability::all_stable_matchings(&inst);
-                assert!(
-                    all.contains(&warm.matching),
-                    "warm result is not stable for the mutated instance (n = {n})"
-                );
-                assert_eq!(warm.matching, gale_shapley(&inst).matching);
-            }
-        }
-    }
 }
+

@@ -1,13 +1,11 @@
 //! Span-timeline instrumentation of the GS engine: the recorded stream
-//! is well-formed, one `gs.round` span per proposal round, and the warm
-//! path emits resolve/fallback instants with the right reason codes.
+//! is well-formed, with one `gs.round` span per proposal round.
 
 use kmatch_gs::{gale_shapley, GsWorkspace};
-use kmatch_obs::{ManualClock, NoMetrics, SolverMetrics};
+use kmatch_obs::{ManualClock, NoMetrics};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
-use kmatch_prefs::{DeltaSide, PrefDelta};
 use kmatch_trace::{
-    check_well_formed, reason, span, EventKind, FlightRecorder, NoSpans, TraceRecorder,
+    check_well_formed, span, EventKind, FlightRecorder, NoSpans, TraceRecorder,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -54,51 +52,6 @@ fn spanned_solve_matches_unspanned_exactly() {
         assert_eq!(spanned.matching, plain.matching, "n = {n}");
         assert_eq!(spanned.stats, plain.stats, "n = {n}");
     }
-}
-
-#[test]
-fn warm_resolve_spans_tag_replay_and_fallback() {
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let n = 24usize;
-    let mut inst = uniform_bipartite(n, &mut rng);
-    let clock = ManualClock::new();
-    let mut ws = GsWorkspace::new();
-
-    // A fresh workspace has nothing to warm-start from: cold fallback.
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, &[], &mut NoMetrics, &mut rec);
-    let events = rec.take();
-    check_well_formed(&events, false).unwrap();
-    assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
-    assert_eq!(events[0].arg, reason::COLD_START);
-
-    // A real delta replays warm and reports the re-freed count.
-    let delta = PrefDelta::Swap {
-        side: DeltaSide::Proposer,
-        row: 3,
-        a: 0,
-        b: (n - 1) as u32,
-    };
-    inst.apply_delta(&delta).unwrap();
-    let mut m = SolverMetrics::new();
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, std::slice::from_ref(&delta), &mut m, &mut rec);
-    let events = rec.take();
-    check_well_formed(&events, false).unwrap();
-    let resolve = events
-        .iter()
-        .find(|e| e.name == span::GS_WARM_RESOLVE)
-        .expect("warm path must emit a gs.warm.resolve instant");
-    assert_eq!(resolve.arg, m.refreed_proposers);
-    assert!(!events.iter().any(|e| e.name == span::GS_WARM_FALLBACK));
-
-    // A size change falls back with SIZE_MISMATCH.
-    let other = uniform_bipartite(n + 5, &mut rng);
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&other, &[], &mut NoMetrics, &mut rec);
-    let events = rec.take();
-    assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
-    assert_eq!(events[0].arg, reason::SIZE_MISMATCH);
 }
 
 #[test]

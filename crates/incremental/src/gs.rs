@@ -1,25 +1,22 @@
 //! Incremental Gale–Shapley session.
 //!
-//! [`IncrementalGs`] owns a bipartite instance together with everything a
-//! re-solve wants warm: the [`CsrPrefs`] arena (patched row-locally per
-//! delta instead of reloaded), the [`GsWorkspace`] holding the previous
-//! execution (so [`GsWorkspace::resolve_delta`] re-frees only the
-//! proposers a delta can affect), per-row content fingerprints (XOR-
-//! combined, patched in O(n) per delta), and a content-addressed
-//! [`SolveCache`] of previously seen instance states.
+//! [`IncrementalGs`] owns a bipartite instance together with the state a
+//! re-solve can reuse: the [`CsrPrefs`] arena (patched row-locally per
+//! delta instead of reloaded), a [`GsWorkspace`] whose buffers are reused
+//! across solves, per-row content fingerprints (XOR-combined, patched in
+//! O(n) per delta), and a content-addressed [`SolveCache`] of previously
+//! seen instance states.
 //!
-//! A [`IncrementalGs::solve`] therefore resolves in one of three tiers:
+//! A [`IncrementalGs::solve`] therefore resolves in one of two tiers:
 //!
 //! 1. **cached** — the combined fingerprint has been solved before: the
 //!    stored matching is cloned back, no engine work at all;
-//! 2. **warm** — the workspace replays the delta cascade and re-runs
-//!    deferred acceptance for the few re-freed proposers;
-//! 3. **cold** — no previous execution (first solve, or a size change):
-//!    the engine solves from scratch.
+//! 2. **solved** — the engine runs deferred acceptance on the patched
+//!    arena. On a random instance that is Θ(n log n) proposals, small
+//!    next to the O(n²) reload the patch avoids.
 //!
-//! All three produce the same proposer-optimal matching — tier 2 by the
-//! McVitie–Wilson order-independence argument (see `kmatch-gs`), tier 1
-//! because the fingerprint is a content address of the full instance.
+//! Both produce the same proposer-optimal matching — tier 1 because the
+//! fingerprint is a content address of the full instance.
 //!
 //! ## Deltas are CSR-only by design
 //!
@@ -87,9 +84,6 @@ pub struct IncrementalGs {
     ws: GsWorkspace,
     fp: BipartiteFp,
     cache: SolveCache<BipartiteMatching>,
-    /// Deltas applied since the engine last actually ran (cache hits do
-    /// not drain this — the workspace still reflects the older state).
-    pending: Vec<PrefDelta>,
 }
 
 impl IncrementalGs {
@@ -108,7 +102,6 @@ impl IncrementalGs {
             ws: GsWorkspace::new(),
             fp,
             cache: SolveCache::new(capacity),
-            pending: Vec::new(),
         }
     }
 
@@ -143,30 +136,27 @@ impl IncrementalGs {
             DeltaSide::Responder => self.inst.responder_list(delta.row()),
         };
         self.fp.update_row(delta.side(), delta.row(), list);
-        self.pending.push(delta.clone());
         Ok(())
     }
 
-    /// Solve the current state — cached, warm, or cold, whichever is
-    /// cheapest (see the module docs).
+    /// Solve the current state — from the cache when it recurs, else on
+    /// the patched arena (see the module docs).
     pub fn solve(&mut self) -> GsOutcome {
         self.solve_metered(&mut NoMetrics)
     }
 
     /// [`IncrementalGs::solve`] with metric hooks: every call records one
-    /// [`Metrics::cache_lookup`]; engine runs add the warm/cold counters
-    /// of `GsWorkspace::resolve_delta_metered`; insertions that push an
-    /// older entry out record [`Metrics::cache_eviction`].
+    /// [`Metrics::cache_lookup`]; engine runs add the counters of
+    /// [`GsWorkspace::solve_metered`]; insertions that push an older
+    /// entry out record [`Metrics::cache_eviction`].
     pub fn solve_metered<M: Metrics>(&mut self, metrics: &mut M) -> GsOutcome {
         self.solve_spanned(metrics, &mut NoSpans)
     }
 
     /// [`IncrementalGs::solve_metered`] that additionally emits a span
     /// timeline: a `cache.hit` or `cache.miss` instant for the lookup,
-    /// and on a miss the warm/cold engine spans of
-    /// [`GsWorkspace::resolve_delta`] (`gs.warm.resolve` /
-    /// `gs.warm.fallback` instants plus the `gs.solve` span). With
-    /// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
+    /// and on a miss the engine spans of [`GsWorkspace::solve_spanned`].
+    /// With [`kmatch_trace::NoSpans`] this monomorphizes to exactly
     /// [`IncrementalGs::solve_metered`].
     pub fn solve_spanned<M: Metrics, S: SpanSink>(
         &mut self,
@@ -185,10 +175,7 @@ impl IncrementalGs {
         }
         metrics.cache_lookup(false);
         spans.instant(span::CACHE_MISS, 0);
-        let out = self
-            .ws
-            .resolve_delta_spanned(&self.csr, &self.pending, metrics, spans);
-        self.pending.clear();
+        let out = self.ws.solve_spanned(&self.csr, metrics, spans);
         if self.cache.insert(key, out.matching.clone()) {
             metrics.cache_eviction();
         }
@@ -277,9 +264,8 @@ mod tests {
 
     #[test]
     fn solve_after_cache_hit_still_matches_cold() {
-        // A cache hit leaves the workspace one revision behind; the next
-        // miss must still warm-start correctly from the accumulated
-        // pending deltas.
+        // A cache hit runs no engine; the next miss must still solve the
+        // current state, not the one the workspace last saw.
         let mut rng = ChaCha8Rng::seed_from_u64(73);
         let inst = uniform_bipartite(20, &mut rng);
         let mut session = IncrementalGs::new(inst.clone());

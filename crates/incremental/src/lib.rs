@@ -2,19 +2,16 @@
 //!
 //! The solvers in `kmatch-gs`, `kmatch-roommates`, and `kmatch-core` are
 //! built for one-shot throughput. Real workloads mutate: a member
-//! re-ranks one list and asks for the new matching. Solving from scratch
-//! discards everything the previous execution learned; this crate keeps
-//! it, at three layers:
+//! re-ranks one list and asks for the new matching. Reloading the
+//! instance from scratch is O(n²); this crate keeps what an edit leaves
+//! untouched, at three layers:
 //!
-//! * [`IncrementalGs`] — a bipartite session whose solves warm-start from
-//!   the previous deferred-acceptance execution
-//!   (`GsWorkspace::resolve_delta` re-frees only affected proposers) and
-//!   short-circuit entirely through a content-addressed [`SolveCache`]
-//!   when an instance state recurs.
-//! * [`IncrementalRoommates`] — the Irving analogue: dead-zone rewrites
-//!   replay the previous outcome in O(n) (see `kmatch_roommates::warm`),
-//!   anything that could loosen a phase-1 threshold falls back to a cold
-//!   solve, and recurring states (solvable or not) come from the cache.
+//! * [`IncrementalGs`] — a bipartite session that patches its CSR arena
+//!   and content fingerprint in O(n) per delta, solves the patched arena
+//!   on a miss, and short-circuits entirely through a content-addressed
+//!   [`SolveCache`] when an instance state recurs.
+//! * [`IncrementalRoommates`] — the Irving analogue: O(n) row rewrites,
+//!   and recurring states (solvable or not) come from the cache.
 //! * [`IncrementalBinder`] — dirty-edge k-ary rebinding: each binding-tree
 //!   edge is fingerprinted over the preference rows it reads, a rebind
 //!   re-solves only dirty edges and reuses cached pair lists elsewhere
@@ -28,7 +25,7 @@
 //! Every layer is differentially tested byte-equal against its cold
 //! counterpart, and every tier records `SolverMetrics` counters
 //! (`cache_hits`/`cache_misses`/`cache_evictions`,
-//! `edges_dirty`/`edges_clean`, `warm_solves`/`warm_fallbacks`).
+//! `edges_dirty`/`edges_clean`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

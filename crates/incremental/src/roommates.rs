@@ -1,23 +1,17 @@
 //! Incremental stable-roommates session.
 //!
-//! [`IncrementalRoommates`] wraps a [`RoommatesInstance`] and its
-//! [`RoommatesWorkspace`], recording every row rewrite as a
-//! [`RoommatesRowDelta`] so a re-solve can go through
-//! [`RoommatesWorkspace::resolve_delta`]: when the rewrite stays inside
-//! the dead zone the previous execution never probed, the previous
-//! outcome is replayed in O(n); any edit that could loosen a phase-1
-//! threshold falls back to a cold solve (see `kmatch_roommates::warm` for
-//! the execution-identity argument). On top of that sits the same
-//! content-addressed [`SolveCache`] as the GS session — an instance state
-//! seen before returns its stored outcome without touching the engine,
-//! including *unsolvable* states, whose culprit certificate is cached too.
+//! [`IncrementalRoommates`] wraps a [`RoommatesInstance`] and a reused
+//! [`RoommatesWorkspace`]. A row rewrite patches the content fingerprint
+//! in O(n); a re-solve of a state not seen before runs Irving on the
+//! rewritten instance. On top sits the same content-addressed
+//! [`SolveCache`] as the GS session — an instance state seen before
+//! returns its stored outcome without touching the engine, including
+//! *unsolvable* states, whose culprit certificate is cached too.
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{PrefsError, RoommatesInstance};
 use kmatch_trace::{span, NoSpans, SpanSink};
-use kmatch_roommates::{
-    RoommatesMatching, RoommatesOutcome, RoommatesRowDelta, RoommatesWorkspace, SolveStats,
-};
+use kmatch_roommates::{RoommatesMatching, RoommatesOutcome, RoommatesWorkspace, SolveStats};
 
 use crate::cache::SolveCache;
 use crate::fingerprint::{hash_row_fp, patch, Fp};
@@ -72,8 +66,6 @@ pub struct IncrementalRoommates {
     rows: Vec<Fp>,
     combined: Fp,
     cache: SolveCache<CachedRoommates>,
-    /// Rewrites applied since the engine last ran (cache hits keep them).
-    pending: Vec<RoommatesRowDelta>,
 }
 
 impl IncrementalRoommates {
@@ -98,7 +90,6 @@ impl IncrementalRoommates {
             rows,
             combined,
             cache: SolveCache::new(capacity),
-            pending: Vec::new(),
         }
     }
 
@@ -112,32 +103,26 @@ impl IncrementalRoommates {
         self.combined
     }
 
-    /// Rewrite participant `p`'s preference row, capturing the old row so
-    /// the next solve can prove (or refute) dead-zone confinement. A
-    /// rejected row leaves the session unchanged.
+    /// Rewrite participant `p`'s preference row and patch the content
+    /// fingerprint. A rejected row leaves the session unchanged.
     pub fn set_row(&mut self, p: u32, row: &[u32]) -> Result<(), PrefsError> {
-        let old_row = self.inst.list(p).to_vec();
         self.inst.set_row(p, row)?;
         let new = hash_row_fp(p as u64, self.inst.list(p));
         let idx = p as usize;
         self.combined = patch(self.combined, self.rows[idx], new);
         self.rows[idx] = new;
-        self.pending.push(RoommatesRowDelta {
-            participant: p,
-            old_row,
-        });
         Ok(())
     }
 
-    /// Solve the current state: cached replay, warm dead-zone replay, or
-    /// cold Irving solve — whichever the state admits.
+    /// Solve the current state: cached replay when the state recurs, else
+    /// an Irving solve.
     pub fn solve(&mut self) -> RoommatesOutcome {
         self.solve_metered(&mut NoMetrics)
     }
 
     /// [`IncrementalRoommates::solve`] with metric hooks (one
-    /// [`Metrics::cache_lookup`] per call, warm/cold counters from
-    /// [`RoommatesWorkspace::resolve_delta_metered`], and
+    /// [`Metrics::cache_lookup`] per call, engine counters from
+    /// [`RoommatesWorkspace::solve_metered`], and
     /// [`Metrics::cache_eviction`] on overflow).
     pub fn solve_metered<M: Metrics>(&mut self, metrics: &mut M) -> RoommatesOutcome {
         self.solve_spanned(metrics, &mut NoSpans)
@@ -145,9 +130,8 @@ impl IncrementalRoommates {
 
     /// [`IncrementalRoommates::solve_metered`] that additionally emits a
     /// span timeline: a `cache.hit` or `cache.miss` instant for the
-    /// lookup, and on a miss the warm/cold Irving spans of
-    /// [`RoommatesWorkspace::resolve_delta`] (`irving.warm.resolve` /
-    /// `irving.warm.fallback` instants plus the phase spans). With
+    /// lookup, and on a miss the Irving spans of
+    /// [`RoommatesWorkspace::solve_spanned`]. With
     /// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
     /// [`IncrementalRoommates::solve_metered`].
     pub fn solve_spanned<M: Metrics, S: SpanSink>(
@@ -163,10 +147,7 @@ impl IncrementalRoommates {
         }
         metrics.cache_lookup(false);
         spans.instant(span::CACHE_MISS, 0);
-        let out = self
-            .ws
-            .resolve_delta_spanned(&self.inst, &self.pending, metrics, spans);
-        self.pending.clear();
+        let out = self.ws.solve_spanned(&self.inst, metrics, spans);
         if self.cache.insert(key, CachedRoommates::of(&out)) {
             metrics.cache_eviction();
         }
@@ -248,7 +229,7 @@ mod tests {
         session.set_row(2, &rev).unwrap();
         session.solve();
         session.set_row(2, &old).unwrap();
-        session.solve(); // hit — workspace is now one revision stale
+        session.solve(); // hit — the engine does not run
         let mut row = session.instance().list(5).to_vec();
         row.reverse();
         session.set_row(5, &row).unwrap();

@@ -99,7 +99,7 @@ fn gs_session_emits_cache_instants() {
     assert_eq!(events[0].name, span::CACHE_HIT);
     assert_eq!(events[0].kind, EventKind::Instant);
 
-    // A rewrite misses and re-enters the engine (warm or cold).
+    // A rewrite misses and re-enters the engine.
     let row = shuffled_row(n, &mut rng);
     session
         .apply(&PrefDelta::SetRow {

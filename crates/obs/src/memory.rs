@@ -66,8 +66,14 @@ mod tests {
             // A test process certainly sits between 100 KiB and 1 TiB.
             assert!(hwm > 100 * 1024, "HWM {hwm} implausibly small");
             assert!(hwm < 1 << 40, "HWM {hwm} implausibly large");
-            let rss = current_rss_bytes().unwrap();
-            assert!(rss <= hwm, "current RSS above the high-water mark");
+            assert!(current_rss_bytes().is_some());
+            // The kernel bounds VmRSS by VmHWM within one status read.
+            // Two separate reads may not compare: tests on other threads
+            // of this process allocate between them.
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let rss_kb = parse_status_kb(&status, "VmRSS:").unwrap();
+            let hwm_kb = parse_vm_hwm_kb(&status).unwrap();
+            assert!(rss_kb <= hwm_kb, "current RSS above the high-water mark");
         }
     }
 }

@@ -70,14 +70,6 @@ pub trait Metrics {
     fn binding_edge_reuse(&mut self, dirty: bool) {
         let _ = dirty;
     }
-    /// A warm-start re-solve ran, re-freeing `refreed` proposers instead
-    /// of all n.
-    fn warm_resolve(&mut self, refreed: u64) {
-        let _ = refreed;
-    }
-    /// A warm-start request could not reuse prior state and fell back to a
-    /// cold solve.
-    fn warm_fallback(&mut self) {}
 
     // ---- escalating truncated-solve hooks ----
     /// The escalating roommates driver ran one truncated attempt at list
@@ -214,13 +206,6 @@ pub struct SolverMetrics {
     pub edges_dirty: u64,
     /// Incremental-rebind edges reused verbatim (zero proposals).
     pub edges_clean: u64,
-    /// Warm-start re-solves that reused prior engine state.
-    pub warm_solves: u64,
-    /// Warm-start requests that fell back to a cold solve.
-    pub warm_fallbacks: u64,
-    /// Proposers re-freed by warm-start re-solves (cold solves re-free
-    /// all n; the warm path's advantage is keeping this small).
-    pub refreed_proposers: u64,
     /// Truncated attempts run by the escalating roommates driver.
     pub escalation_attempts: u64,
     /// Truncated stable outcomes that self-certified.
@@ -327,15 +312,6 @@ impl Metrics for SolverMetrics {
         }
     }
     #[inline]
-    fn warm_resolve(&mut self, refreed: u64) {
-        self.warm_solves += 1;
-        self.refreed_proposers += refreed;
-    }
-    #[inline(always)]
-    fn warm_fallback(&mut self) {
-        self.warm_fallbacks += 1;
-    }
-    #[inline]
     fn escalation_attempt(&mut self, cut: u32) {
         self.escalation_attempts += 1;
         self.escalation_cuts.observe(cut as u64);
@@ -356,7 +332,7 @@ impl Metrics for SolverMetrics {
 
 /// The scalar counters in serialization order, shared by the JSON and
 /// Prometheus renderers (name, value, `# HELP` text).
-fn counter_rows(m: &SolverMetrics) -> [(&'static str, u64, &'static str); 26] {
+fn counter_rows(m: &SolverMetrics) -> [(&'static str, u64, &'static str); 23] {
     [
         ("solves", m.solves, "Solves completed"),
         ("solvable", m.solvable, "Solves that produced a matching"),
@@ -434,21 +410,6 @@ fn counter_rows(m: &SolverMetrics) -> [(&'static str, u64, &'static str); 26] {
             "Incremental-rebind edges reused verbatim",
         ),
         (
-            "warm_solves",
-            m.warm_solves,
-            "Warm-start re-solves reusing prior state",
-        ),
-        (
-            "warm_fallbacks",
-            m.warm_fallbacks,
-            "Warm-start requests falling back to cold",
-        ),
-        (
-            "refreed_proposers",
-            m.refreed_proposers,
-            "Proposers re-freed by warm re-solves",
-        ),
-        (
             "escalation_attempts",
             m.escalation_attempts,
             "Truncated attempts by the escalating roommates driver",
@@ -499,9 +460,6 @@ impl SolverMetrics {
         self.cache_evictions += other.cache_evictions;
         self.edges_dirty += other.edges_dirty;
         self.edges_clean += other.edges_clean;
-        self.warm_solves += other.warm_solves;
-        self.warm_fallbacks += other.warm_fallbacks;
-        self.refreed_proposers += other.refreed_proposers;
         self.escalation_attempts += other.escalation_attempts;
         self.certified_stable += other.certified_stable;
         self.certified_unsolvable += other.certified_unsolvable;
@@ -548,11 +506,6 @@ impl SolverMetrics {
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
             edges_dirty: self.edges_dirty.saturating_sub(earlier.edges_dirty),
             edges_clean: self.edges_clean.saturating_sub(earlier.edges_clean),
-            warm_solves: self.warm_solves.saturating_sub(earlier.warm_solves),
-            warm_fallbacks: self.warm_fallbacks.saturating_sub(earlier.warm_fallbacks),
-            refreed_proposers: self
-                .refreed_proposers
-                .saturating_sub(earlier.refreed_proposers),
             escalation_attempts: self
                 .escalation_attempts
                 .saturating_sub(earlier.escalation_attempts),
@@ -678,8 +631,6 @@ mod tests {
         m.cache_eviction();
         m.binding_edge_reuse(true);
         m.binding_edge_reuse(false);
-        m.warm_resolve(3);
-        m.warm_fallback();
         m.escalation_attempt(64);
         m.certified_stable();
         m.certified_unsolvable();
@@ -709,9 +660,6 @@ mod tests {
         assert_eq!(m.cache_evictions, 1);
         assert_eq!(m.edges_dirty, 1);
         assert_eq!(m.edges_clean, 1);
-        assert_eq!(m.warm_solves, 1);
-        assert_eq!(m.warm_fallbacks, 1);
-        assert_eq!(m.refreed_proposers, 3);
         assert_eq!(m.escalation_attempts, 1);
         assert_eq!(m.certified_stable, 1);
         assert_eq!(m.certified_unsolvable, 1);
@@ -755,8 +703,8 @@ mod tests {
         // Every counter of the delta equals one sample's worth.
         assert_eq!(delta.proposals, earlier.proposals);
         assert_eq!(delta.solves, earlier.solves);
-        assert_eq!(delta.warm_solves, earlier.warm_solves);
-        assert_eq!(delta.refreed_proposers, earlier.refreed_proposers);
+        assert_eq!(delta.cache_hits, earlier.cache_hits);
+        assert_eq!(delta.edges_dirty, earlier.edges_dirty);
         assert_eq!(delta.solve_wall_ns.count(), earlier.solve_wall_ns.count());
         assert_eq!(delta.solve_wall_ns.sum(), earlier.solve_wall_ns.sum());
         // Self-diff is empty; reversed diff saturates to zero.
@@ -773,8 +721,7 @@ mod tests {
         assert_eq!(a.solves, 2);
         assert_eq!(a.cache_hits, 2);
         assert_eq!(a.edges_clean, 2);
-        assert_eq!(a.warm_solves, 2);
-        assert_eq!(a.refreed_proposers, 6);
+        assert_eq!(a.escalation_attempts, 2);
         assert_eq!(a.solve_wall_ns.count(), 2);
         assert_eq!(a.proposals_per_edge.count(), 2);
     }

@@ -13,8 +13,8 @@
 pub const IDLE: u32 = 0;
 /// Gale–Shapley synchronous proposal rounds (cold solve).
 pub const GS_ROUNDS: u32 = 1;
-/// Gale–Shapley warm-start re-solve rounds.
-pub const GS_WARM: u32 = 2;
+// Id 2 was the Gale–Shapley warm-start re-solve, since removed. It is
+// retired, not reused: old bundles that carry it read as "unknown".
 /// Irving phase 1: proposal/truncation to a stable table.
 pub const IRVING_PHASE1: u32 = 3;
 /// Irving phase 2: rotation elimination.
@@ -34,7 +34,6 @@ pub fn phase_name(id: u32) -> &'static str {
     match id {
         IDLE => "idle",
         GS_ROUNDS => "gs.rounds",
-        GS_WARM => "gs.warm",
         IRVING_PHASE1 => "irving.phase1",
         IRVING_PHASE2 => "irving.phase2",
         ESCALATE => "escalate",
@@ -54,7 +53,6 @@ mod tests {
         let ids = [
             IDLE,
             GS_ROUNDS,
-            GS_WARM,
             IRVING_PHASE1,
             IRVING_PHASE2,
             ESCALATE,
@@ -68,6 +66,7 @@ mod tests {
             assert!(names[..i].iter().all(|m| m != n), "duplicate name {n}");
         }
         assert_eq!(phase_name(999), "unknown");
+        assert_eq!(phase_name(2), "unknown", "id 2 is retired");
         // Wire-stable anchors consumers depend on.
         assert_eq!(IDLE, 0);
         assert_eq!(ESCALATE, 5);

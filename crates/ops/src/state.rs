@@ -744,7 +744,7 @@ mod tests {
         state.ring().ingest(
             &[kmatch_trace::TraceEvent {
                 kind: kmatch_trace::EventKind::Instant,
-                name: "gs.warm.resolve",
+                name: kmatch_trace::span::CACHE_HIT,
                 ts_ns: 5,
                 arg: 1,
             }],
@@ -775,7 +775,7 @@ mod tests {
             bundle.get("trigger"),
             Some(&Value::String("stall".into()))
         );
-        assert!(text.contains("gs.warm.resolve"), "ring drained into bundle");
+        assert!(text.contains("cache.hit"), "ring drained into bundle");
         // A still-ongoing stall does not write a second bundle.
         clock.advance(2_000);
         let again = state.tick_probed();

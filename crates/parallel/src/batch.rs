@@ -464,9 +464,10 @@ mod tests {
             assert_eq!(a.matching, b.matching);
             assert_eq!(a.stats, b.stats);
         }
-        // One shard per worker chunk, not per solve.
-        let shards = registry.shards_absorbed();
-        assert!(shards >= 1 && shards <= rayon::current_num_threads() as u64);
+        // One shard per executor task, not per solve: exactly the task
+        // count the front recorded (1 on the serial path).
+        let record = registry.execution().expect("front records its execution");
+        assert_eq!(registry.shards_absorbed(), record.task_count);
         let merged = registry.take();
         assert_eq!(merged.solves, 120);
         assert_eq!(

@@ -455,6 +455,58 @@ mod tests {
     }
 
     #[test]
+    fn apply_delta_matches_fresh_load_over_random_deltas() {
+        // The O(n) row patch is what incremental sessions solve on, so it
+        // must be indistinguishable from an O(n²) reload of the mutated
+        // instance — lists, rank tables, fused entries — for every delta
+        // kind on both sides.
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for n in [1usize, 2, 7, 23, 40] {
+            let mut inst = uniform_bipartite(n, &mut rng);
+            let mut arena = CsrPrefs::from_prefs(&inst);
+            for _ in 0..30 {
+                let side = if rng.gen_bool(0.5) {
+                    DeltaSide::Proposer
+                } else {
+                    DeltaSide::Responder
+                };
+                let row = rng.gen_range(0..n as u32);
+                let delta = match rng.gen_range(0..3u32) {
+                    0 => {
+                        let mut prefs: Vec<u32> = (0..n as u32).collect();
+                        for i in (1..n).rev() {
+                            prefs.swap(i, rng.gen_range(0..i + 1));
+                        }
+                        PrefDelta::SetRow { side, row, prefs }
+                    }
+                    1 => PrefDelta::Swap {
+                        side,
+                        row,
+                        a: rng.gen_range(0..n as u32),
+                        b: rng.gen_range(0..n as u32),
+                    },
+                    _ => PrefDelta::Splice {
+                        side,
+                        row,
+                        from: rng.gen_range(0..n as u32),
+                        to: rng.gen_range(0..n as u32),
+                    },
+                };
+                inst.apply_delta(&delta).unwrap();
+                arena.apply_delta(&delta, &inst);
+                assert_matches_view(&arena, &inst);
+                let fresh = CsrPrefs::from_prefs(&inst);
+                assert_eq!(arena.proposer_lists, fresh.proposer_lists, "n = {n}");
+                assert_eq!(arena.responder_lists, fresh.responder_lists, "n = {n}");
+                assert_eq!(arena.proposer_ranks, fresh.proposer_ranks, "n = {n}");
+                assert_eq!(arena.responder_ranks, fresh.responder_ranks, "n = {n}");
+                assert_eq!(arena.entries, fresh.entries, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn load_oracle_of_a_view_matches_plain_load() {
         // Materializing through the oracle queries must be byte-identical
         // to the slice-based load for any materialized view.

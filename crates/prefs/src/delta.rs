@@ -2,9 +2,9 @@
 //!
 //! Real traffic arrives as small edits: one member re-ranks one list. A
 //! [`PrefDelta`] names exactly one preference row of a bipartite instance
-//! and how it changes, so the warm-start machinery in `kmatch-gs` and
-//! `kmatch-incremental` can reason about *which rows are dirty* instead of
-//! re-deriving everything from scratch. Three shapes cover the tests and
+//! and how it changes, so `kmatch-incremental` can patch *the dirty row*
+//! of its arena and fingerprint instead of re-deriving everything from
+//! scratch. Three shapes cover the tests and
 //! the CLI `delta` subcommand:
 //!
 //! * [`PrefDelta::SetRow`] — replace the whole row with a new permutation;

@@ -207,9 +207,6 @@ fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
         // threshold store; its deletions stay implicit.
         let new_rank = inst.rank_of(y, x);
         debug_assert!(new_rank <= ws.thresh[y as usize], "thresholds only tighten");
-        if ws.first_rank[y as usize] == NONE {
-            ws.first_rank[y as usize] = new_rank;
-        }
         if T::ENABLED {
             ws.removed.clear();
             ws.collect_p1_removed(inst, y, new_rank);
@@ -312,12 +309,6 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
     if let Some(culprit) = culprit {
         spans.end(span::IRVING_SOLVE);
         metrics.solve_done(false, stats.proposals);
-        ws.footer = Some(crate::workspace::SolveFooter {
-            n: inst.n(),
-            stable: false,
-            culprit,
-            stats,
-        });
         return RoommatesOutcome::NoStableMatching { culprit, stats };
     }
 
@@ -338,12 +329,6 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
             spans.end(span::IRVING_PHASE2);
             spans.end(span::IRVING_SOLVE);
             metrics.solve_done(false, stats.proposals);
-            ws.footer = Some(crate::workspace::SolveFooter {
-                n: inst.n(),
-                stable: false,
-                culprit,
-                stats,
-            });
             return RoommatesOutcome::NoStableMatching { culprit, stats };
         }
     }
@@ -357,12 +342,6 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
     for (p, slot) in partner.iter_mut().enumerate() {
         *slot = ws.first(p as u32).expect("singleton lists are non-empty");
     }
-    ws.footer = Some(crate::workspace::SolveFooter {
-        n,
-        stable: true,
-        culprit: NONE,
-        stats,
-    });
     RoommatesOutcome::Stable {
         matching: RoommatesMatching::new(partner),
         stats,

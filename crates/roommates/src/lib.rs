@@ -48,7 +48,6 @@ pub mod phase2;
 pub mod policy;
 pub mod solver;
 pub mod trace;
-pub mod warm;
 pub mod workspace;
 
 pub use escalate::{solve_escalating, solve_escalating_metered, CertKind, EscalationReport};
@@ -64,5 +63,4 @@ pub use solver::{
     solve_with_logged_reference, solve_with_reference, RoommatesOutcome, SolveStats,
 };
 pub use trace::RoommatesEvent;
-pub use warm::RoommatesRowDelta;
 pub use workspace::RoommatesWorkspace;

@@ -120,9 +120,6 @@ fn phase1_tolerant<I: RoommatesOracle>(
         ws.holds[y as usize] = x;
         let new_rank = inst.rank_of(y, x);
         debug_assert!(new_rank <= ws.thresh[y as usize], "thresholds only tighten");
-        if ws.first_rank[y as usize] == NONE {
-            ws.first_rank[y as usize] = new_rank;
-        }
         ws.thresh[y as usize] = new_rank;
     }
     Some(emptied)

@@ -57,23 +57,12 @@ pub mod span {
     pub const GS_SOLVE: &str = "gs.solve";
     /// One GS proposal round (arg = round number, 1-based).
     pub const GS_ROUND: &str = "gs.round";
-    /// Instant: warm resolve replayed the delta cascade (arg = number of
-    /// re-freed proposers).
-    pub const GS_WARM_RESOLVE: &str = "gs.warm.resolve";
-    /// Instant: warm resolve fell back to a cold solve (arg = a
-    /// [`reason`](crate::reason) code).
-    pub const GS_WARM_FALLBACK: &str = "gs.warm.fallback";
     /// Whole stable-roommates solve (arg = `n`).
     pub const IRVING_SOLVE: &str = "irving.solve";
     /// Irving phase 1: proposal/threshold tightening (arg = `n`).
     pub const IRVING_PHASE1: &str = "irving.phase1";
     /// Irving phase 2: rotation elimination (arg = `n`).
     pub const IRVING_PHASE2: &str = "irving.phase2";
-    /// Instant: roommates warm resolve replayed the stored execution.
-    pub const IRVING_WARM_RESOLVE: &str = "irving.warm.resolve";
-    /// Instant: roommates warm resolve fell back to a cold solve (arg =
-    /// a [`reason`](crate::reason) code).
-    pub const IRVING_WARM_FALLBACK: &str = "irving.warm.fallback";
     /// One spanning-tree binding edge in a k-partite bind (arg = edge
     /// index in tree order).
     pub const BIND_EDGE: &str = "bind.edge";
@@ -89,19 +78,4 @@ pub mod span {
     pub const CACHE_HIT: &str = "cache.hit";
     /// Instant: content-addressed solve cache miss.
     pub const CACHE_MISS: &str = "cache.miss";
-}
-
-/// Warm-resolve fallback reason codes, carried as the `arg` of
-/// [`span::GS_WARM_FALLBACK`] / [`span::IRVING_WARM_FALLBACK`] instants.
-pub mod reason {
-    /// No previous execution to warm-start from (first solve).
-    pub const COLD_START: u64 = 0;
-    /// The instance size changed since the stored execution.
-    pub const SIZE_MISMATCH: u64 = 1;
-    /// No solve footer was recorded (roommates: prior run predates the
-    /// footer, or the workspace was reset).
-    pub const NO_FOOTER: u64 = 2;
-    /// A delta touched below the live prefix of some preference row
-    /// (roommates warm replay would be unsound).
-    pub const PREFIX_MISS: u64 = 3;
 }
