@@ -9,6 +9,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> single-CPU test run"
+# The executor and observer suites depend on how many cores the process
+# sees (task counts, per-worker rings, RSS sampling). Pinning them to one
+# CPU runs them on the other end of the core-count range from the
+# unpinned run above.
+taskset -c 0 cargo test -q --release -p kmatch-parallel -p kmatch-obs
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

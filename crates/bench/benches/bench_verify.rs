@@ -1,9 +1,10 @@
 //! Verifier ablation (DESIGN.md): dense rank-table lookups vs list-scan
-//! preference comparisons in the blocking-pair/blocking-family search.
+//! preference comparisons in the blocking-pair search, and the
+//! prefix-walk vs bitset blocking-family verifiers on the same inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kmatch_bench::rng;
-use kmatch_core::{bind, find_blocking_family};
+use kmatch_core::{bind, find_blocking_family, find_blocking_family_bitset};
 use kmatch_graph::BindingTree;
 use kmatch_gs::{find_blocking_pair, gale_shapley};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
@@ -61,13 +62,20 @@ fn bench_kary_verify(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
-    for (k, n) in [(3usize, 32usize), (4, 16), (5, 12), (6, 8)] {
+    // (4, 500) is the perfbench `kary_edits` shape.
+    for (k, n) in [(3usize, 32usize), (4, 16), (5, 12), (6, 8), (4, 500)] {
         let inst = uniform_kpartite(k, n, &mut rng(602));
         let matching = bind(&inst, &BindingTree::path(k));
+        let shape = format!("k{k}_n{n}");
         group.bench_with_input(
-            BenchmarkId::new("blocking_family_dfs", format!("k{k}_n{n}")),
+            BenchmarkId::new("blocking_family_dfs", &shape),
             &(),
             |b, _| b.iter(|| find_blocking_family(&inst, &matching).is_none()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("blocking_family_bitset", &shape),
+            &(),
+            |b, _| b.iter(|| find_blocking_family_bitset(&inst, &matching).is_none()),
         );
     }
     group.finish();
