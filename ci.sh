@@ -13,8 +13,17 @@ echo "==> single-CPU test run"
 # The executor and observer suites depend on how many cores the process
 # sees (task counts, per-worker rings, RSS sampling). Pinning them to one
 # CPU runs them on the other end of the core-count range from the
-# unpinned run above.
+# unpinned run above: every parallel front then takes the executor's
+# inline serial path.
 taskset -c 0 cargo test -q --release -p kmatch-parallel -p kmatch-obs
+
+echo "==> perfbench self-tests"
+# Runs every benchmark workload's output checks fresh at --size tiny. The
+# benchmark is its own workspace with a committed lock file; --locked fails
+# this step if a change gives a crate the benchmark builds a dependency
+# that lock file does not already resolve.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -73,9 +82,9 @@ for name in '"gs.solve"' '"gs.round"'; do
   grep -qF "$name" "$SMOKE_DIR/solve.trace.json" \
     || { echo "trace smoke: missing $name in solve trace"; exit 1; }
 done
-# Batch timelines go through per-chunk flight recorders (phase-level,
-# worker track per chunk); a tiny ring must wrap without corrupting the
-# export.
+# Batch timelines go through per-worker flight recorders (phase-level,
+# one track per executor worker); a tiny ring must wrap without
+# corrupting the export.
 ./target/release/kmatch batch --kind roommates --n 24 --count 40 --seed 6 \
     --trace-out "$SMOKE_DIR/batch.trace.json" --flight-recorder 128
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \

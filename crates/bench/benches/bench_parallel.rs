@@ -1,4 +1,4 @@
-//! E8/E9 — parallel binding: rayon executor vs sequential Algorithm 1,
+//! E8/E9 — parallel binding: work-stealing executor vs sequential Algorithm 1,
 //! and schedule shape (even-odd path vs Δ-coloring vs unscheduled).
 //!
 //! On a single-core host the wall-clock difference is noise; the paper's
@@ -27,13 +27,13 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", &id), &inst, |b, inst| {
             b.iter(|| bind_with_stats(inst, &tree).total_proposals())
         });
-        group.bench_with_input(BenchmarkId::new("rayon_all", &id), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::new("steal_all", &id), &inst, |b, inst| {
             b.iter(|| parallel_bind(inst, &tree).per_edge.len())
         });
-        group.bench_with_input(BenchmarkId::new("rayon_even_odd", &id), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::new("steal_even_odd", &id), &inst, |b, inst| {
             b.iter(|| parallel_bind_scheduled(inst, &tree, &even_odd).rounds_executed)
         });
-        group.bench_with_input(BenchmarkId::new("rayon_coloring", &id), &inst, |b, inst| {
+        group.bench_with_input(BenchmarkId::new("steal_coloring", &id), &inst, |b, inst| {
             b.iter(|| parallel_bind_scheduled(inst, &tree, &coloring).rounds_executed)
         });
     }

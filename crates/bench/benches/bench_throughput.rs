@@ -10,7 +10,7 @@
 //!   whose fused proposal-entry rows make every proposal one sequential
 //!   load (the headline configuration; see `results/BENCH_gs.json`).
 //! * `batch_serial` vs `solve_batch` — 1000 instances solved through one
-//!   workspace serially, then fanned across the rayon pool.
+//!   workspace serially, then fanned across the work-stealing executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kmatch_bench::rng;

@@ -26,14 +26,16 @@
 //! Run with `cargo run --release --bin bench_gs_json`.
 
 use kmatch_bench::harness::{
-    bipartite_batch, measure_blocks, rayon_threads, write_results, OverheadRow,
+    bipartite_batch, measure_blocks, write_results, OverheadRow,
 };
 use kmatch_bench::rng;
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
 use kmatch_ops::{Level, OpsConfig, OpsState};
 use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
-use kmatch_parallel::{solve_batch, solve_batch_metered, solve_batch_probed, solve_batch_traced};
+use kmatch_parallel::{
+    default_threads, solve_batch, solve_batch_metered, solve_batch_probed, solve_batch_traced,
+};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{CsrPrefs, PrefOracle, RandomOracle, ScoreOracle};
 use serde::impl_json_struct;
@@ -97,7 +99,7 @@ struct BatchRow {
     threads: usize,
     /// Which dispatch the batch took (from the executor's
     /// [`kmatch_parallel::StealReport`]): `"serial"` on a one-thread
-    /// pool (no executor machinery at all), else `"stealing"`.
+    /// host (one task, run inline on the caller), else `"stealing"`.
     path: String,
     /// Tasks the stealing executor split the batch into (1 on the
     /// serial path).
@@ -134,7 +136,7 @@ struct Report {
     single: Vec<SingleRow>,
     batch: BatchRow,
     metrics_overhead: OverheadRow,
-    /// `metered_ns` here is the *traced* batch (per-chunk flight
+    /// `metered_ns` here is the *traced* batch (per-worker flight
     /// recorders armed): the cost of leaving the black box on.
     trace_overhead: OverheadRow,
     /// `metered_ns` here is the metered batch plus a full operator-plane
@@ -275,7 +277,7 @@ fn batch_row() -> BatchRow {
             },
         ],
     );
-    let threads = rayon_threads();
+    let threads = default_threads();
     // One un-timed pass through the explicit stealing front-end for the
     // schedule footprint of the measured configuration (solve_batch
     // dispatches to the same executor).
@@ -328,7 +330,7 @@ fn overhead_row() -> (OverheadRow, RunReport) {
         n,
         instances,
         0x5EED_0000 + 303,
-        rayon_threads(),
+        default_threads(),
         metered_ns as u64,
         merged,
         None,
@@ -336,7 +338,7 @@ fn overhead_row() -> (OverheadRow, RunReport) {
     (OverheadRow::new(instances, n, plain_ns, metered_ns), report)
 }
 
-/// Measure the traced batch path (per-chunk flight recorders, phase-level
+/// Measure the traced batch path (per-worker flight recorders, phase-level
 /// spans, `StdClock` timestamps) against the metered one on the same
 /// n = 2000 batch. `solve_batch_traced` is the metered path plus a ring,
 /// and `solve_spanned` with `NoSpans` *is* `solve_metered`, so this
@@ -413,7 +415,7 @@ fn ops_overhead_row() -> OverheadRow {
 }
 
 /// Measure the forensic profiler against the traced batch on the same
-/// n = 2000 shape. Both sides arm per-chunk flight recorders;
+/// n = 2000 shape. Both sides arm per-worker flight recorders;
 /// `solve_batch_probed` additionally tees every span into the lock-free
 /// leaf-span registers and publishes progress probes, while a live
 /// sampler thread folds register snapshots into the shared profile at
@@ -425,7 +427,7 @@ fn profiler_overhead_row() -> OverheadRow {
     let batch = bipartite_batch(instances, n, 306);
     let registry = BatchRegistry::new();
     let clock = StdClock::new();
-    let lanes = rayon_threads().max(1);
+    let lanes = default_threads();
     let probes = ProbeSet::new(lanes);
     let registers = std::sync::Arc::new(RegisterSet::new(lanes));
     let profile = std::sync::Arc::new(SharedProfile::new());
@@ -499,7 +501,7 @@ fn main() {
             profiler_overhead.metered_ns,
         );
     let report = Report {
-        threads: rayon_threads(),
+        threads: default_threads(),
         scaling,
         single,
         batch: batch_row(),

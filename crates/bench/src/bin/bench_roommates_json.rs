@@ -12,10 +12,11 @@
 //! `cargo run --release --bin bench_roommates_json`.
 
 use kmatch_bench::harness::{
-    measure_blocks, rayon_threads, roommates_batch, write_results, OverheadRow,
+    measure_blocks, roommates_batch, write_results, OverheadRow,
 };
 use kmatch_bench::rng;
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, SolverMetrics, StdClock};
+use kmatch_parallel::default_threads;
 use kmatch_parallel::roommates::{solve_batch, solve_batch_metered, solve_batch_traced};
 use kmatch_prefs::gen::uniform::uniform_roommates;
 use kmatch_prefs::CachedRoommatesOracle;
@@ -134,7 +135,7 @@ struct Report {
     single: Vec<SingleRow>,
     batch: BatchRow,
     metrics_overhead: OverheadRow,
-    /// `metered_ns` here is the *traced* batch (per-chunk flight
+    /// `metered_ns` here is the *traced* batch (per-worker flight
     /// recorders armed): the cost of leaving the black box on.
     trace_overhead: OverheadRow,
 }
@@ -243,7 +244,7 @@ fn batch_row() -> BatchRow {
             },
         ],
     );
-    let threads = rayon_threads();
+    let threads = default_threads();
     let speedup = serial_ns / solve_batch_ns;
     BatchRow {
         instances,
@@ -290,7 +291,7 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
         n,
         instances,
         0x5EED_0000 + 403,
-        rayon_threads(),
+        default_threads(),
         metered_ns as u64,
         merged,
         None,
@@ -298,7 +299,7 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
     (OverheadRow::new(instances, n, plain_ns, metered_ns), report)
 }
 
-/// Measure the traced batch path (per-chunk flight recorders, phase-level
+/// Measure the traced batch path (per-worker flight recorders, phase-level
 /// spans, `StdClock` timestamps) against the metered one on the same
 /// n = 2000 batch. `solve_batch_traced` is the metered path plus a ring,
 /// and `solve_spanned` with `NoSpans` *is* `solve_metered`, so this
@@ -348,7 +349,7 @@ fn main() {
         trace_overhead.metered_ns,
     );
     let report = Report {
-        threads: rayon_threads(),
+        threads: default_threads(),
         scaling,
         single,
         batch: batch_row(),

@@ -8,7 +8,7 @@
 //! Checks per iteration (all fatal on disagreement):
 //! 1. GS == McVitie–Wilson == distributed GS (matching + proposal count);
 //! 2. Algorithm 1 output stable (pruned DFS) == naive exhaustive verdict,
-//!    and rayon/scheduled/distributed executors equal sequential;
+//!    and parallel/distributed executors equal sequential;
 //! 3. Irving == brute force existence on small roommates instances, and
 //!    the zero-alloc fast path (reused workspace) == `solve_reference`
 //!    on larger ones (matching, certificate, proposal/rotation counts);
@@ -78,7 +78,7 @@ fn main() {
         assert_eq!(
             parallel_bind(&inst, &tree).matching,
             seq.matching,
-            "rayon (k={k})"
+            "parallel bind (k={k})"
         );
         let schedule = tree_edge_coloring(&tree);
         assert_eq!(

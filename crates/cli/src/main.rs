@@ -815,8 +815,8 @@ fn write_metrics(
     Ok(())
 }
 
-/// Export the per-chunk timelines a traced batch returned: one
-/// `worker-<i>` thread track per chunk, plus a dropped-events note when
+/// Export the per-worker timelines a traced batch returned: one
+/// `worker-<i>` thread track per worker, plus a dropped-events note when
 /// a flight recorder wrapped.
 fn write_chunk_traces(
     topts: &TraceOpts,
@@ -967,7 +967,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
     let seed: u64 = args.flag_or("seed", 0)?;
     let kind = args.flag("kind").unwrap_or("gs");
     let prefs = args.flag("prefs").unwrap_or("csr");
-    let threads: usize = args.flag_or("threads", rayon::current_num_threads())?;
+    let threads: usize = args.flag_or("threads", kmatch_parallel::default_threads())?;
     if threads == 0 {
         return Err("need --threads >= 1".to_string());
     }
@@ -1553,7 +1553,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     // Arm the forensic plane: one probe/register lane per executor
     // worker (the escalating driver is serial — one lane).
     let lanes = if kind == "gs" {
-        rayon::current_num_threads().max(1)
+        kmatch_parallel::default_threads()
     } else {
         1
     };
@@ -1747,7 +1747,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             wave_n,
             total_instances as usize,
             seed,
-            rayon::current_num_threads(),
+            kmatch_parallel::default_threads(),
             start.elapsed().as_nanos() as u64,
             registry.snapshot(),
             None,
@@ -2808,7 +2808,7 @@ mod tests {
         let text = std::fs::read_to_string(&trace).unwrap();
         kmatch_trace::chrome_trace_names(&text, &["batch.chunk", "gs.solve"]).unwrap();
         assert!(text.contains("worker-0"));
-        // Batch timelines go through per-chunk flight recorders, which
+        // Batch timelines go through per-worker flight recorders, which
         // are phase-level by design: no per-round spans on the tracks.
         assert!(!text.contains("gs.round"), "got:\n{text}");
         // Roommates batch traces the Irving phases, through a tiny

@@ -56,9 +56,9 @@ impl TraceOpts {
         self.out.is_some()
     }
 
-    /// Ring capacity for the per-chunk flight recorders of the traced
+    /// Ring capacity for the per-worker flight recorders of the traced
     /// batch front-ends (generous default when `--flight-recorder` is
-    /// not given — batch timelines are bounded per chunk either way).
+    /// not given — batch timelines are bounded per worker either way).
     pub fn chunk_capacity(&self) -> usize {
         self.flight.unwrap_or(1 << 16)
     }

@@ -12,21 +12,21 @@
 //! exactly the two partner arrays owned by each returned matching.
 //!
 //! Fan-out goes through [`crate::steal`]: fine-grained task chunks on
-//! per-worker deques with seeded victim selection, instead of the static
-//! `len / threads` split this front-end originally used — an uneven batch
-//! no longer stalls behind its largest contiguous chunk. Results are
-//! returned in input order and are identical to calling
+//! per-worker deques with seeded victim selection (one inline task when a
+//! single worker is available). Every front runs the same task body,
+//! `solve_range`, monomorphized over its metrics and span sinks.
+//! Results are returned in input order and are identical to calling
 //! [`kmatch_gs::gale_shapley`] on each instance serially for **any**
 //! thread count or steal schedule (GS is deterministic, instances share
 //! no state, and the executor reduces in task-id order).
 
 use kmatch_forensics::{ProbeSet, Probed, RegisterSet};
 use kmatch_gs::{GsOutcome, GsStats, GsWorkspace};
-use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics};
+use kmatch_obs::{BatchRegistry, Clock, Metrics, NoMetrics, SolverMetrics};
 use kmatch_prefs::PrefOracle;
-use kmatch_trace::{span, FlightRecorder, SpanSink, Tee, TraceEvent};
+use kmatch_trace::{span, FlightRecorder, NoSpans, SpanSink, Tee, TraceEvent};
 
-use crate::steal::{self, solve_batch_stealing, solve_batch_stealing_metered, steal_seed};
+use crate::steal::{default_threads, run_chunks, steal_seed, StealReport};
 
 /// The span timeline one batch worker recorded: a `batch.chunk` span per
 /// executor task it ran (arg = task id) enclosing the per-solve engine
@@ -43,23 +43,164 @@ pub struct ChunkTrace {
     pub events: Vec<TraceEvent>,
 }
 
-/// Which execution path the batch front-ends take on the current host:
-/// `"serial"` when one worker thread is available — the fan-out machinery
-/// (task deques, per-worker workspaces, registry shards) would only add
-/// overhead with no concurrency to buy — and `"stealing"` otherwise.
-/// Benchmarks record this so throughput numbers name the path they
-/// measured.
-pub fn batch_path() -> &'static str {
-    if rayon::current_num_threads() <= 1 {
-        "serial"
-    } else {
-        "stealing"
+/// Per-worker timelines, in worker order, as the workers' flight
+/// recorders hold them.
+fn worker_traces<'r, 'c: 'r, C: Clock + 'c>(
+    recs: impl Iterator<Item = &'r FlightRecorder<'c, C>>,
+) -> Vec<ChunkTrace> {
+    let trace = |(worker, rec): (usize, &FlightRecorder<C>)| ChunkTrace {
+        worker,
+        dropped: rec.dropped(),
+        events: rec.events(),
+    };
+    recs.enumerate().map(trace).collect()
+}
+
+/// The clock of the unmetered fronts: [`solve_range`] reads a clock only
+/// when its metrics sink is enabled, so this one is never read.
+pub(crate) struct Untimed;
+
+impl Clock for Untimed {
+    fn now_ns(&self) -> u64 {
+        0
+    }
+}
+
+/// A per-worker solver workspace the batch fronts drive: GS over any
+/// oracle here, Irving over roommates instances in [`crate::roommates`].
+pub(crate) trait Engine<I>: Default + Send {
+    /// One solve's result.
+    type Out: Send;
+    /// Solve `inst`, observing it through `metrics` and `spans`.
+    fn solve_observed<M: Metrics, S: SpanSink>(
+        &mut self,
+        inst: &I,
+        metrics: &mut M,
+        spans: &mut S,
+    ) -> Self::Out;
+}
+
+impl<P: PrefOracle> Engine<P> for GsWorkspace {
+    type Out = GsOutcome;
+    fn solve_observed<M: Metrics, S: SpanSink>(
+        &mut self,
+        inst: &P,
+        metrics: &mut M,
+        spans: &mut S,
+    ) -> GsOutcome {
+        self.solve_spanned(inst, metrics, spans)
+    }
+}
+
+/// The one batch task body: solve `instances` in order on `ws` inside a
+/// `batch.chunk` span (arg = `task`), observing every solve through
+/// `metrics` and `spans`. Per-solve wall time is read from `clock` only
+/// when `M::ENABLED`; with [`NoMetrics`] and [`NoSpans`] this is a plain
+/// `solve` loop ([`GsWorkspace::solve_spanned`] with those sinks is
+/// [`GsWorkspace::solve`]).
+pub(crate) fn solve_range<'a, I, W, M, S, C>(
+    ws: &mut W,
+    instances: impl Iterator<Item = &'a I>,
+    task: usize,
+    metrics: &mut M,
+    spans: &mut S,
+    clock: &C,
+) -> Vec<W::Out>
+where
+    I: 'a,
+    W: Engine<I>,
+    M: Metrics,
+    S: SpanSink,
+    C: Clock,
+{
+    spans.begin(span::BATCH_CHUNK, task as u64);
+    let outs = instances
+        .map(|inst| {
+            if !M::ENABLED {
+                return ws.solve_observed(inst, metrics, spans);
+            }
+            let t0 = clock.now_ns();
+            let out = ws.solve_observed(inst, metrics, spans);
+            metrics.solve_ns(clock.now_ns().saturating_sub(t0));
+            out
+        })
+        .collect();
+    spans.end(span::BATCH_CHUNK);
+    outs
+}
+
+/// Solve a batch on `threads` executor workers (one `W` per worker) with
+/// one `M` shard per task, returning the outcomes in input order, the
+/// shards in task-id order, and the execution report.
+pub(crate) fn run_batch<I, W, M, C>(
+    instances: &[I],
+    threads: usize,
+    seed: u64,
+    clock: &C,
+) -> (Vec<W::Out>, Vec<M>, StealReport)
+where
+    I: Sync,
+    W: Engine<I>,
+    M: Metrics + Default + Send,
+    C: Clock + Sync,
+{
+    let (outs, shards, _, report) = run_chunks(
+        instances,
+        threads,
+        seed,
+        |_| W::default(),
+        |ws, t, chunk| {
+            let mut shard = M::default();
+            let outs = solve_range(ws, chunk.iter(), t, &mut shard, &mut NoSpans, clock);
+            (outs, shard)
+        },
+    );
+    (outs, shards, report)
+}
+
+/// The traced front of either engine: a metered batch on
+/// [`default_threads`] workers, each recording its tasks through one
+/// [`FlightRecorder`] of `flight_capacity` events. Shards are absorbed
+/// and the execution is recorded in `registry`; the per-worker timelines
+/// come back in worker order.
+pub(crate) fn run_traced<I, W, C>(
+    instances: &[I],
+    registry: &BatchRegistry,
+    clock: &C,
+    flight_capacity: usize,
+) -> (Vec<W::Out>, Vec<ChunkTrace>)
+where
+    I: Sync,
+    W: Engine<I>,
+    C: Clock + Sync,
+{
+    let (outs, shards, workers, report) = run_chunks(
+        instances,
+        default_threads(),
+        steal_seed(),
+        |_| (W::default(), FlightRecorder::new(clock, flight_capacity)),
+        |(ws, rec), t, chunk| {
+            let mut shard = SolverMetrics::new();
+            let outs = solve_range(ws, chunk.iter(), t, &mut shard, rec, clock);
+            (outs, shard)
+        },
+    );
+    absorb(registry, shards);
+    registry.record_execution(report.to_execution_record());
+    (outs, worker_traces(workers.iter().map(|(_, rec)| rec)))
+}
+
+/// Absorb per-task shards into `registry` in task-id order (one lock per
+/// task).
+pub(crate) fn absorb(registry: &BatchRegistry, shards: Vec<SolverMetrics>) {
+    for shard in shards {
+        registry.absorb(shard);
     }
 }
 
 /// Solve every instance with proposer-proposing Gale–Shapley, fanning the
-/// batch across the rayon pool with one reusable [`GsWorkspace`] per
-/// worker thread.
+/// batch across [`default_threads`] executor workers with one reusable
+/// [`GsWorkspace`] per worker.
 ///
 /// Output order matches input order, and each outcome equals the one
 /// `gale_shapley` would produce for that instance.
@@ -79,21 +220,60 @@ pub fn solve_batch<P>(instances: &[P]) -> Vec<GsOutcome>
 where
     P: PrefOracle + Sync,
 {
-    if batch_path() == "serial" {
-        let mut ws = GsWorkspace::new();
-        return instances.iter().map(|inst| ws.solve(inst)).collect();
-    }
-    solve_batch_stealing(instances, rayon::current_num_threads(), steal_seed()).0
+    solve_batch_stealing(instances, default_threads(), steal_seed()).0
 }
 
-/// [`solve_batch`] with sharded metrics and per-solve wall timing.
+/// Solve a batch through the work-stealing executor with `threads` OS
+/// workers (at most one per task) and the given steal-schedule seed.
 ///
-/// Every worker solves a contiguous chunk of the batch through its own
-/// [`GsWorkspace`] **and** its own thread-private [`SolverMetrics`] shard —
-/// the hot path performs plain `u64` increments, no atomics, no locks.
-/// Each shard is absorbed into `registry` exactly once, when its chunk
-/// completes. Per-solve wall time is sampled from the injected `clock`
-/// here at the front-end, keeping the engine clock-free.
+/// Outcomes are in input order and byte-identical to a serial
+/// [`GsWorkspace::solve`] loop for **any** `threads`/`seed` combination;
+/// only the returned [`StealReport`] reflects the actual schedule.
+/// `threads <= 1` (or a single-instance batch) runs inline on the caller
+/// with no worker threads at all.
+pub fn solve_batch_stealing<P>(
+    instances: &[P],
+    threads: usize,
+    seed: u64,
+) -> (Vec<GsOutcome>, StealReport)
+where
+    P: PrefOracle + Sync,
+{
+    let (outs, _, report) =
+        run_batch::<_, GsWorkspace, NoMetrics, _>(instances, threads, seed, &Untimed);
+    (outs, report)
+}
+
+/// [`solve_batch_stealing`] with sharded metrics and per-solve wall
+/// timing.
+///
+/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
+/// shard — the hot path performs plain `u64` increments, no atomics, no
+/// locks; shards are absorbed into `registry` in task-id order after the
+/// join, so the merged metrics are byte-identical for any steal schedule.
+/// Per-solve wall time is sampled from the injected `clock` here at the
+/// front-end, keeping the engine clock-free. The caller records the
+/// returned report (or [`solve_batch_metered`] does).
+pub fn solve_batch_stealing_metered<P, C>(
+    instances: &[P],
+    threads: usize,
+    seed: u64,
+    registry: &BatchRegistry,
+    clock: &C,
+) -> (Vec<GsOutcome>, StealReport)
+where
+    P: PrefOracle + Sync,
+    C: Clock + Sync,
+{
+    let (outs, shards, report) = run_batch::<_, GsWorkspace, _, _>(instances, threads, seed, clock);
+    absorb(registry, shards);
+    (outs, report)
+}
+
+/// [`solve_batch`] with sharded metrics and per-solve wall timing:
+/// [`solve_batch_stealing_metered`] on [`default_threads`] workers, with
+/// the run's executor footprint recorded in `registry`. Exactly one shard
+/// per executor task is absorbed.
 ///
 /// Output order matches input order and each outcome equals
 /// [`solve_batch`]'s (the metered engine instantiation runs the identical
@@ -107,55 +287,25 @@ where
     P: PrefOracle + Sync,
     C: Clock + Sync,
 {
-    let len = instances.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    if batch_path() == "serial" {
-        let mut ws = GsWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<GsOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        registry.absorb(shard);
-        registry.record_execution(kmatch_obs::ExecutionRecord {
-            path: "serial",
-            threads: 1,
-            task_count: 1,
-            steal_count: 0,
-            straggler_ratio: 1.0,
-        });
-        return outs;
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
     let (outs, report) =
-        solve_batch_stealing_metered(instances, threads, steal_seed(), registry, clock);
+        solve_batch_stealing_metered(instances, default_threads(), steal_seed(), registry, clock);
     registry.record_execution(report.to_execution_record());
     outs
 }
 
 /// [`solve_batch_metered`] that additionally records a span timeline per
-/// worker chunk.
+/// executor worker.
 ///
-/// Each chunk solves through its own [`FlightRecorder`] of
-/// `flight_capacity` events (preallocated before the chunk's first solve;
-/// recording never allocates), wrapping the whole chunk in a
-/// `batch.chunk` span whose arg is the chunk index. Flight recorders are
-/// phase-level by design (`SpanSink::FINE = false`): the tracks carry
-/// `batch.chunk` and one `gs.solve` span per instance, never the
-/// fine-grained `gs.round` spans — that is what keeps the traced batch
-/// within a few percent of the plain one (the `trace_overhead` row of
-/// `results/REPORT_gs.json` pins the measured figure). On the stealing
-/// path each **worker** owns one recorder for its whole lifetime and
-/// wraps every task it runs in a `batch.chunk` span (arg = task id), so
-/// the returned [`ChunkTrace`]s — ordered by worker id — are true
-/// per-worker timelines: they plug straight into
+/// Each worker owns one [`FlightRecorder`] of `flight_capacity` events
+/// (preallocated before its first solve; recording never allocates) for
+/// its whole lifetime and wraps every task it runs in a `batch.chunk`
+/// span (arg = task id). Flight recorders are phase-level by design
+/// (`SpanSink::FINE = false`): the tracks carry `batch.chunk` and one
+/// `gs.solve` span per instance, never the fine-grained `gs.round` spans
+/// — that is what keeps the traced batch within a few percent of the
+/// plain one (the `trace_overhead` row of `results/REPORT_gs.json` pins
+/// the measured figure). The returned [`ChunkTrace`]s — ordered by worker
+/// id — are true per-worker timelines: they plug straight into
 /// `kmatch_trace::TraceTrack::workers` for a thread-track-per-worker
 /// Chrome trace and expose stragglers directly. Outcomes and merged
 /// metrics are identical to [`solve_batch`]'s for any steal schedule;
@@ -170,86 +320,7 @@ where
     P: PrefOracle + Sync,
     C: Clock + Sync,
 {
-    let len = instances.len();
-    if len == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let solve_chunk = |c: usize, chunk_insts: &[P]| {
-        let mut ws = GsWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let mut rec = FlightRecorder::new(clock, flight_capacity);
-        rec.begin(span::BATCH_CHUNK, c as u64);
-        let outs: Vec<GsOutcome> = chunk_insts
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_spanned(inst, &mut shard, &mut rec);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        rec.end(span::BATCH_CHUNK);
-        registry.absorb(shard);
-        let trace = ChunkTrace {
-            worker: c,
-            dropped: rec.dropped(),
-            events: rec.events(),
-        };
-        (outs, trace)
-    };
-    if batch_path() == "serial" {
-        let (outs, trace) = solve_chunk(0, instances);
-        registry.record_execution(kmatch_obs::ExecutionRecord {
-            path: "serial",
-            threads: 1,
-            task_count: 1,
-            steal_count: 0,
-            straggler_ratio: 1.0,
-        });
-        return (outs, vec![trace]);
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let (chunk, task_count) = steal::task_layout(len, threads);
-    let (per_task, states, report) = steal::run_tasks(
-        task_count,
-        threads,
-        steal_seed(),
-        |_| (GsWorkspace::new(), FlightRecorder::new(clock, flight_capacity)),
-        |state, t| {
-            let (ws, rec) = state;
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            let mut shard = SolverMetrics::new();
-            rec.begin(span::BATCH_CHUNK, t as u64);
-            let outs: Vec<GsOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_spanned(inst, &mut shard, rec);
-                    shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            rec.end(span::BATCH_CHUNK);
-            (outs, shard)
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
-    registry.record_execution(report.to_execution_record());
-    let traces: Vec<ChunkTrace> = states
-        .into_iter()
-        .enumerate()
-        .map(|(w, (_, rec))| ChunkTrace {
-            worker: w,
-            dropped: rec.dropped(),
-            events: rec.events(),
-        })
-        .collect();
-    (outs, traces)
+    run_traced::<_, GsWorkspace, _>(instances, registry, clock, flight_capacity)
 }
 
 /// [`solve_batch_traced`] under live forensics: every worker publishes
@@ -264,8 +335,8 @@ where
 /// mis-sized set observable rather than a panic). Each task solves
 /// through a fresh [`Probed`]`<SolverMetrics, &WorkerProbe>` shard —
 /// phase/round/proposal counters reset per task, exactly the resolution
-/// `GET /progress` reports — and the inner shard is absorbed into
-/// `registry` when the task completes. The span stream fans out through a
+/// `GET /progress` reports — and the inner shards are absorbed into
+/// `registry` in task-id order. The span stream fans out through a
 /// [`Tee`] to the worker's [`FlightRecorder`] (capacity
 /// `flight_capacity`) and its register lane; both are `FINE = false`, so
 /// the tee'd stream stays coarse. Outcomes are byte-identical to
@@ -283,94 +354,27 @@ where
     P: PrefOracle + Sync,
     C: Clock + Sync,
 {
-    let len = instances.len();
-    if len == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    if batch_path() == "serial" {
-        let mut ws = GsWorkspace::new();
-        let mut tee = Tee::new(
-            FlightRecorder::new(clock, flight_capacity),
-            registers.sink(0),
-        );
-        let mut shard = Probed::new(SolverMetrics::new(), probes.probe(0));
-        tee.begin(span::BATCH_CHUNK, 0);
-        let outs: Vec<GsOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_spanned(inst, &mut shard, &mut tee);
-                shard.inner_mut().solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        tee.end(span::BATCH_CHUNK);
-        registry.absorb(shard.into_inner());
-        registry.record_execution(kmatch_obs::ExecutionRecord {
-            path: "serial",
-            threads: 1,
-            task_count: 1,
-            steal_count: 0,
-            straggler_ratio: 1.0,
-        });
-        let trace = ChunkTrace {
-            worker: 0,
-            dropped: tee.a.dropped(),
-            events: tee.a.events(),
-        };
-        return (outs, vec![trace]);
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let (chunk, task_count) = steal::task_layout(len, threads);
-    let (per_task, states, report) = steal::run_tasks(
-        task_count,
-        threads,
+    let (outs, shards, workers, report) = run_chunks(
+        instances,
+        default_threads(),
         steal_seed(),
         |w| {
-            (
-                GsWorkspace::new(),
-                Tee::new(
-                    FlightRecorder::new(clock, flight_capacity),
-                    registers.sink(w % registers.len()),
-                ),
-                probes.probe(w % probes.len()),
-            )
+            let rec = FlightRecorder::new(clock, flight_capacity);
+            let tee = Tee::new(rec, registers.sink(w % registers.len()));
+            (GsWorkspace::new(), tee, probes.probe(w % probes.len()))
         },
-        |state, t| {
-            let (ws, tee, probe) = state;
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
+        |(ws, tee, probe), t, chunk| {
             let mut shard = Probed::new(SolverMetrics::new(), *probe);
-            tee.begin(span::BATCH_CHUNK, t as u64);
-            let outs: Vec<GsOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_spanned(inst, &mut shard, tee);
-                    shard.inner_mut().solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            tee.end(span::BATCH_CHUNK);
+            let outs = solve_range(ws, chunk.iter(), t, &mut shard, tee, clock);
             (outs, shard.into_inner())
         },
     );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
+    absorb(registry, shards);
     registry.record_execution(report.to_execution_record());
-    let traces: Vec<ChunkTrace> = states
-        .into_iter()
-        .enumerate()
-        .map(|(w, (_, tee, _))| ChunkTrace {
-            worker: w,
-            dropped: tee.a.dropped(),
-            events: tee.a.events(),
-        })
-        .collect();
-    (outs, traces)
+    (
+        outs,
+        worker_traces(workers.iter().map(|(_, tee, _)| &tee.a)),
+    )
 }
 
 /// Sum the instrumentation counters of a batch: total proposals and the
@@ -496,7 +500,7 @@ mod tests {
             (0..150).map(|_| uniform_bipartite(28, &mut rng)).collect();
         let registry = BatchRegistry::new();
         let clock = ManualClock::new();
-        let threads = rayon::current_num_threads().max(1);
+        let threads = crate::default_threads();
         let probes = ProbeSet::new(threads);
         let registers = RegisterSet::new(threads);
         let (probed, traces) =

@@ -6,20 +6,24 @@
 //! again. [`solve_batch_cached`] keys every instance by its 128-bit
 //! content fingerprint (`kmatch_incremental::bipartite_fingerprint`) and
 //! serves repeats straight from a caller-owned [`SolveCache`]; only the
-//! missing instances go through the regular batch machinery
-//! ([`crate::batch::solve_batch_metered`], which picks the serial or
-//! parallel path itself). Hits, misses, and evictions land in the
-//! [`BatchRegistry`]'s merged `SolverMetrics`, and the returned
+//! missing instances go through the work-stealing executor, on the same
+//! task body as [`crate::batch::solve_batch_metered`] (one metrics shard
+//! per executor task, plus one shard for the cache lookups, with the
+//! miss pass's executor footprint recorded). Hits, misses, and evictions
+//! land in the [`BatchRegistry`]'s merged `SolverMetrics`, and the returned
 //! [`CachedBatchOutcome`] carries the same counts for callers (the CLI
 //! hit-rate printout) that do not drain the registry.
+
+use std::collections::HashMap;
 
 use kmatch_gs::{BipartiteMatching, GsOutcome, GsStats, GsWorkspace};
 use kmatch_incremental::{bipartite_fingerprint, SolveCache};
 use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics};
 use kmatch_prefs::{BipartitePrefs, ResponderListSlice};
-use rayon::prelude::*;
+use kmatch_trace::NoSpans;
 
-use crate::batch::batch_path;
+use crate::batch::{absorb, solve_range};
+use crate::steal::{default_threads, run_chunks, steal_seed};
 
 /// A cached batch solve: the outcomes plus this call's cache traffic.
 #[derive(Debug)]
@@ -66,86 +70,55 @@ where
     let mut shard = SolverMetrics::new();
     // First pass: split hits from misses, preserving input positions. A
     // key repeated *within* the batch is a miss only at its first
-    // occurrence; later occurrences are hits served by that one solve.
+    // occurrence; later occurrences are hits served by that one solve
+    // (read back from its slot — a tiny cache may already have evicted
+    // an early key by the time a late duplicate needs it).
     let mut outcomes: Vec<Option<GsOutcome>> = Vec::with_capacity(instances.len());
     let mut miss_idx: Vec<usize> = Vec::new();
-    let mut first_seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    let mut dup_idx: Vec<usize> = Vec::new();
+    let mut first_seen: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut dups: Vec<(usize, usize)> = Vec::new();
     for (i, &key) in keys.iter().enumerate() {
-        if let Some(matching) = cache.get(key) {
+        outcomes.push(cache.get(key).map(|matching| served(matching.clone())));
+        if outcomes[i].is_some() {
             shard.cache_lookup(true);
-            outcomes.push(Some(GsOutcome {
-                matching: matching.clone(),
-                stats: GsStats::default(),
-                trace: None,
-            }));
-        } else if first_seen.insert(key) {
-            shard.cache_lookup(false);
-            outcomes.push(None);
-            miss_idx.push(i);
+        } else if let Some(&first) = first_seen.get(&key) {
+            shard.cache_lookup(true);
+            dups.push((i, first));
         } else {
-            shard.cache_lookup(true);
-            outcomes.push(None);
-            dup_idx.push(i);
+            shard.cache_lookup(false);
+            first_seen.insert(key, i);
+            miss_idx.push(i);
         }
     }
     let hits = shard.cache_hits;
     let misses = shard.cache_misses;
-    // Second pass: solve the misses — serially through one workspace on a
-    // one-thread pool, otherwise fanned out like the plain batch path.
-    if !miss_idx.is_empty() {
-        let solved: Vec<GsOutcome> = if batch_path() == "serial" {
-            let mut ws = GsWorkspace::new();
+    // Second pass: solve the misses on the executor, one metrics shard
+    // per task.
+    let (solved, shards, _, report) = run_chunks(
+        &miss_idx,
+        default_threads(),
+        steal_seed(),
+        |_| GsWorkspace::new(),
+        |ws, t, idx| {
             let mut engine = SolverMetrics::new();
-            let outs = miss_idx
-                .iter()
-                .map(|&i| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(&instances[i], &mut engine);
-                    engine.solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            registry.absorb(engine);
-            outs
-        } else {
-            miss_idx
-                .par_iter()
-                .map_init(GsWorkspace::new, |ws, &i| {
-                    let mut engine = SolverMetrics::new();
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(&instances[i], &mut engine);
-                    engine.solve_ns(clock.now_ns().saturating_sub(t0));
-                    registry.absorb(engine);
-                    out
-                })
-                .collect()
-        };
-        // Keep this batch's results aside for in-batch repeats — a tiny
-        // cache may already have evicted an early key by the time a late
-        // duplicate needs it.
-        let mut solved_map: std::collections::HashMap<(u64, u64), BipartiteMatching> =
-            std::collections::HashMap::with_capacity(miss_idx.len());
-        for (&i, out) in miss_idx.iter().zip(solved) {
-            if cache.insert(keys[i], out.matching.clone()) {
-                shard.cache_eviction();
-            }
-            if !dup_idx.is_empty() {
-                solved_map.insert(keys[i], out.matching.clone());
-            }
-            outcomes[i] = Some(out);
+            let insts = idx.iter().map(|&i| &instances[i]);
+            let outs = solve_range(ws, insts, t, &mut engine, &mut NoSpans, clock);
+            (outs, engine)
+        },
+    );
+    absorb(registry, shards);
+    registry.record_execution(report.to_execution_record());
+    for (&i, out) in miss_idx.iter().zip(solved) {
+        if cache.insert(keys[i], out.matching.clone()) {
+            shard.cache_eviction();
         }
-        for i in dup_idx {
-            let matching = solved_map
-                .get(&keys[i])
-                .expect("every duplicate's representative was solved")
-                .clone();
-            outcomes[i] = Some(GsOutcome {
-                matching,
-                stats: GsStats::default(),
-                trace: None,
-            });
-        }
+        outcomes[i] = Some(out);
+    }
+    for (i, first) in dups {
+        let solved = outcomes[first]
+            .as_ref()
+            .expect("a duplicate's first sighting was solved");
+        outcomes[i] = Some(served(solved.matching.clone()));
     }
     registry.absorb(shard);
     CachedBatchOutcome {
@@ -155,6 +128,15 @@ where
             .collect(),
         hits,
         misses,
+    }
+}
+
+/// An outcome served without solving: zeroed stats.
+fn served(matching: BipartiteMatching) -> GsOutcome {
+    GsOutcome {
+        matching,
+        stats: GsStats::default(),
+        trace: None,
     }
 }
 
@@ -238,5 +220,31 @@ mod tests {
         let out = solve_batch_cached(&empty, &mut cache, &registry, &ManualClock::new());
         assert!(out.outcomes.is_empty());
         assert_eq!(out.hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn absorbs_one_shard_per_task_plus_the_lookup_shard() {
+        // The miss pass absorbs one shard per executor task (not one per
+        // solve, which would make the count depend on the host's cores),
+        // and the lookup pass one more; the miss pass records its run.
+        let mut rng = ChaCha8Rng::seed_from_u64(60);
+        let distinct: Vec<BipartiteInstance> =
+            (0..40).map(|_| uniform_bipartite(12, &mut rng)).collect();
+        let batch: Vec<BipartiteInstance> = distinct.iter().cycle().take(60).cloned().collect();
+        let mut cache = SolveCache::default();
+        let registry = BatchRegistry::new();
+        let clock = ManualClock::new();
+        for expected_misses in [40u64, 0] {
+            let out = solve_batch_cached(&batch, &mut cache, &registry, &clock);
+            assert_eq!(out.misses, expected_misses);
+            let record = registry
+                .execution()
+                .expect("miss pass records its execution");
+            assert_eq!(registry.shards_absorbed(), record.task_count + 1);
+            if expected_misses == 0 {
+                assert_eq!(record.task_count, 0, "a fully cached batch runs no task");
+            }
+            registry.take();
+        }
     }
 }

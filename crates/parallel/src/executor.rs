@@ -1,9 +1,11 @@
-//! Rayon-based parallel binding executor.
+//! Parallel binding executor on the work-stealing executor.
 //!
 //! Each `GS(i, j)` binding reads only the preference tables of genders `i`
 //! and `j` and writes only its own pair list, so bindings with disjoint
-//! gender pairs are embarrassingly parallel. The executor runs either the
-//! whole edge set at once ([`parallel_bind`] — legal because binding
+//! gender pairs are embarrassingly parallel. A round of bindings is thus
+//! just a set of independent tasks for [`crate::steal`], one per edge,
+//! each worker reusing one [`WorkerScratch`]. The executor runs either the
+//! whole edge set as one round ([`parallel_bind`] — legal because binding
 //! results never feed each other; only the final class merge is shared) or
 //! round-by-round following a schedule ([`parallel_bind_scheduled`] —
 //! the paper's PRAM discipline, where a gender's data is held exclusively
@@ -15,9 +17,9 @@ use kmatch_graph::{BindingTree, Schedule};
 use kmatch_gs::GsStats;
 use kmatch_obs::{BatchRegistry, Metrics, NoMetrics, SolverMetrics};
 use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
-use rayon::prelude::*;
 
 use crate::scratch::WorkerScratch;
+use crate::steal::{default_threads, run_tasks, steal_seed};
 
 /// Outcome of a parallel binding run.
 #[derive(Debug, Clone)]
@@ -40,17 +42,14 @@ impl From<ParallelBindingOutcome> for BindingOutcome {
     }
 }
 
-type EdgeResult = (usize, Vec<(u32, u32)>, GsStats);
-
-/// Run one binding edge, returning (edge index, global-id pairs, stats).
+/// Run one binding edge `GS(i, j)`, returning its global-id pairs and
+/// stats.
 fn run_edge<M: Metrics>(
     inst: &KPartiteInstance,
     scratch: &mut WorkerScratch,
-    edge_idx: usize,
-    i: u16,
-    j: u16,
+    (i, j): (u16, u16),
     metrics: &mut M,
-) -> EdgeResult {
+) -> (Vec<(u32, u32)>, GsStats) {
     let n = inst.n() as u32;
     let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
     // The CSR snapshot preserves lists and ranks exactly, so the outcome
@@ -58,72 +57,79 @@ fn run_edge<M: Metrics>(
     scratch.csr.load(&view);
     let out = scratch.ws.solve_metered(&scratch.csr, metrics);
     metrics.binding_edge(out.stats.proposals);
-    let pairs: Vec<(u32, u32)> = out
+    let global = |g: u16, index: u32| Member::new(GenderId(g), index).global(n);
+    let pairs = out
         .matching
         .pairs()
-        .map(|(m, w)| {
-            (
-                Member {
-                    gender: GenderId(i),
-                    index: m,
-                }
-                .global(n),
-                Member {
-                    gender: GenderId(j),
-                    index: w,
-                }
-                .global(n),
-            )
-        })
-        .collect();
-    (edge_idx, pairs, out.stats)
+        .map(|(m, w)| (global(i, m), global(j, w)));
+    (pairs.collect(), out.stats)
 }
 
-fn merge(
+/// Bind `tree` round by round on `threads` executor workers: each round
+/// (a list of edge indices) runs one task per edge, and rounds are
+/// separated by the executor's join. Every edge solves through a fresh
+/// `M` shard; the shards come back in execution order (round by round,
+/// edge order within a round). The result is independent of `threads`
+/// and `seed`.
+pub(crate) fn bind_on<M: Metrics + Default + Send>(
     inst: &KPartiteInstance,
-    edge_count: usize,
-    results: Vec<EdgeResult>,
-    rounds_executed: usize,
-) -> ParallelBindingOutcome {
-    let (k, n) = (inst.k(), inst.n());
-    let mut per_edge = vec![GsStats::default(); edge_count];
-    let mut all_pairs = Vec::with_capacity(edge_count * n);
-    for (idx, pairs, stats) in results {
-        per_edge[idx] = stats;
-        all_pairs.extend(pairs);
-    }
-    let matching = merge_edge_pairs(k, n, all_pairs);
-    ParallelBindingOutcome {
-        matching,
-        per_edge,
-        rounds_executed,
-    }
-}
-
-/// Bind all tree edges concurrently on the rayon pool and merge.
-///
-/// Result is identical to `kmatch_core::binding::bind_with_stats` — the
-/// union–find merge is order-insensitive and each GS run is deterministic.
-pub fn parallel_bind(inst: &KPartiteInstance, tree: &BindingTree) -> ParallelBindingOutcome {
+    tree: &BindingTree,
+    rounds: &[Vec<usize>],
+    threads: usize,
+    seed: u64,
+) -> (ParallelBindingOutcome, Vec<M>) {
     assert_eq!(
         tree.k(),
         inst.k(),
         "binding tree must span the instance's genders"
     );
-    let results: Vec<EdgeResult> = tree
-        .edges()
-        .par_iter()
-        .enumerate()
-        .map_init(WorkerScratch::default, |scratch, (idx, &(i, j))| {
-            run_edge(inst, scratch, idx, i, j, &mut NoMetrics)
-        })
-        .collect();
-    merge(inst, tree.edges().len(), results, 1)
+    let edges = tree.edges();
+    let (k, n) = (inst.k(), inst.n());
+    let mut per_edge = vec![GsStats::default(); edges.len()];
+    let mut all_pairs = Vec::with_capacity(edges.len() * n);
+    let mut shards = Vec::with_capacity(edges.len());
+    for round in rounds {
+        let (results, _, _) = run_tasks(
+            round.len(),
+            threads,
+            seed,
+            |_| WorkerScratch::default(),
+            |scratch, t| {
+                let mut shard = M::default();
+                (run_edge(inst, scratch, edges[round[t]], &mut shard), shard)
+            },
+        );
+        for (&e, ((pairs, stats), shard)) in round.iter().zip(results) {
+            per_edge[e] = stats;
+            all_pairs.extend(pairs);
+            shards.push(shard);
+        }
+    }
+    let outcome = ParallelBindingOutcome {
+        matching: merge_edge_pairs(k, n, all_pairs),
+        per_edge,
+        rounds_executed: rounds.len(),
+    };
+    (outcome, shards)
+}
+
+/// One round holding every edge of `tree`: the unscheduled executor.
+fn all_edges(tree: &BindingTree) -> [Vec<usize>; 1] {
+    [(0..tree.edges().len()).collect()]
+}
+
+/// Bind all tree edges concurrently on the executor and merge.
+///
+/// Result is identical to `kmatch_core::binding::bind_with_stats` — the
+/// union–find merge is order-insensitive and each GS run is deterministic.
+pub fn parallel_bind(inst: &KPartiteInstance, tree: &BindingTree) -> ParallelBindingOutcome {
+    let rounds = all_edges(tree);
+    bind_on::<NoMetrics>(inst, tree, &rounds, default_threads(), steal_seed()).0
 }
 
 /// [`parallel_bind`] with sharded metrics: each binding edge runs with its
-/// own thread-private [`SolverMetrics`] shard (absorbed into `registry`
-/// when the edge completes), recording per-edge proposal counts via
+/// own task-private [`SolverMetrics`] shard (absorbed into `registry` in
+/// edge order after the join), recording per-edge proposal counts via
 /// [`Metrics::binding_edge`]; after the merge one final shard carries the
 /// [`Metrics::theorem3_check`] of the total against `(k−1)·n²`, so every
 /// metered parallel binding validates Theorem 3 empirically.
@@ -132,24 +138,12 @@ pub fn parallel_bind_metered(
     tree: &BindingTree,
     registry: &BatchRegistry,
 ) -> ParallelBindingOutcome {
-    assert_eq!(
-        tree.k(),
-        inst.k(),
-        "binding tree must span the instance's genders"
-    );
-    let results: Vec<EdgeResult> = tree
-        .edges()
-        .par_iter()
-        .enumerate()
-        .map(|(idx, &(i, j))| {
-            let mut scratch = WorkerScratch::default();
-            let mut shard = SolverMetrics::new();
-            let r = run_edge(inst, &mut scratch, idx, i, j, &mut shard);
-            registry.absorb(shard);
-            r
-        })
-        .collect();
-    let outcome = merge(inst, tree.edges().len(), results, 1);
+    let rounds = all_edges(tree);
+    let (outcome, shards) =
+        bind_on::<SolverMetrics>(inst, tree, &rounds, default_threads(), steal_seed());
+    for shard in shards {
+        registry.absorb(shard);
+    }
     let total: u64 = outcome.per_edge.iter().map(|s| s.proposals).sum();
     let bound = ((inst.k() - 1) * inst.n() * inst.n()) as u64;
     let mut tail = SolverMetrics::new();
@@ -166,23 +160,8 @@ pub fn parallel_bind_scheduled(
     tree: &BindingTree,
     schedule: &Schedule,
 ) -> ParallelBindingOutcome {
-    assert_eq!(
-        tree.k(),
-        inst.k(),
-        "binding tree must span the instance's genders"
-    );
-    let mut results: Vec<EdgeResult> = Vec::with_capacity(tree.edges().len());
-    for round in schedule.rounds() {
-        let mut batch: Vec<EdgeResult> = round
-            .par_iter()
-            .map_init(WorkerScratch::default, |scratch, &e| {
-                let (i, j) = tree.edges()[e];
-                run_edge(inst, scratch, e, i, j, &mut NoMetrics)
-            })
-            .collect();
-        results.append(&mut batch);
-    }
-    merge(inst, tree.edges().len(), results, schedule.depth())
+    let rounds = schedule.rounds();
+    bind_on::<NoMetrics>(inst, tree, rounds, default_threads(), steal_seed()).0
 }
 
 #[cfg(test)]
@@ -273,5 +252,33 @@ mod tests {
         let total: u64 = par.per_edge.iter().map(|s| s.proposals).sum();
         let bo: BindingOutcome = par.into();
         assert_eq!(bo.total_proposals(), total);
+    }
+
+    #[test]
+    fn binding_is_independent_of_threads_and_steal_seed() {
+        // Every thread count (1 = inline serial path) and steal schedule
+        // must reproduce sequential Algorithm 1, both as one round of all
+        // edges and round by round under an edge-coloring schedule.
+        let mut rng = ChaCha8Rng::seed_from_u64(47);
+        for (k, n) in [(4usize, 7usize), (7, 5)] {
+            let inst = uniform_kpartite(k, n, &mut rng);
+            let tree = random_tree(k, &mut rng);
+            let schedule = tree_edge_coloring(&tree);
+            let seq = bind_with_stats(&inst, &tree);
+            for threads in [1usize, 2, 3] {
+                for seed in [0u64, 7, u64::MAX] {
+                    let (all, _) =
+                        bind_on::<NoMetrics>(&inst, &tree, &all_edges(&tree), threads, seed);
+                    assert_eq!(all.matching, seq.matching, "k={k} threads={threads}");
+                    assert_eq!(all.per_edge, seq.per_edge);
+                    assert_eq!(all.rounds_executed, 1);
+                    let (sched, _) =
+                        bind_on::<NoMetrics>(&inst, &tree, schedule.rounds(), threads, seed);
+                    assert_eq!(sched.matching, seq.matching, "k={k} threads={threads}");
+                    assert_eq!(sched.per_edge, seq.per_edge);
+                    assert_eq!(sched.rounds_executed, schedule.depth());
+                }
+            }
+        }
     }
 }

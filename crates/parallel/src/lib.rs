@@ -8,34 +8,30 @@
 //!
 //! This crate provides:
 //!
-//! * [`executor`] — a real shared-memory executor on the rayon work-stealing
-//!   pool: independent `GS(i, j)` bindings of each schedule round run
-//!   concurrently. Its output is bit-identical to the sequential
-//!   Algorithm 1 (GS is deterministic per edge and edges touch disjoint
-//!   data), which the tests enforce.
+//! * [`steal`] — the one executor behind every parallel path: a
+//!   deterministic work-stealing runner with fine-grained tasks on
+//!   per-worker deques, seeded victim order (`KMATCH_STEAL_SEED`),
+//!   task-id-ordered reduction so outputs and merged metrics are
+//!   byte-identical for any steal schedule, per-worker lane accounting
+//!   for the straggler section of run reports, never more workers than
+//!   tasks, and an inline serial path when only one worker would run.
+//! * [`executor`] — the binding executor: the independent `GS(i, j)`
+//!   bindings of each schedule round run as executor tasks. Its output is
+//!   bit-identical to the sequential Algorithm 1 (GS is deterministic per
+//!   edge and edges touch disjoint data), which the tests enforce.
 //! * [`batch`] — a throughput front-end: [`solve_batch`] fans many
 //!   independent bipartite instances across the workers, giving each
-//!   worker thread one reusable `GsWorkspace` so the per-instance
-//!   allocation cost is just the returned matchings.
-//! * [`steal`] — the deterministic work-stealing executor behind the
-//!   batch front-ends: fine-grained task chunks on per-worker deques,
-//!   seeded victim order (`KMATCH_STEAL_SEED`), task-id-ordered
-//!   reduction so outputs and merged metrics are byte-identical for any
-//!   steal schedule, and per-worker lane accounting for the straggler
-//!   section of run reports.
+//!   worker one reusable `GsWorkspace` so the per-instance allocation
+//!   cost is just the returned matchings.
 //! * [`roommates`] — the same front-end for Irving's stable-roommates
 //!   solver (one reusable `RoommatesWorkspace` per worker), feeding the
 //!   solvability sweeps.
+//! * [`cached`] — a content-addressed cache in front of the GS batch.
 //! * [`pram`] — the paper's own cost model, implemented as an explicit
 //!   simulator: EREW round accounting reproducing Corollary 1
 //!   (`≤ Δ·n²` iterations with `k − 1` processors), the 2-round even–odd
 //!   path schedule of Corollary 2 / Fig. 4, and the `⌈log₂ Δ⌉`-round data
 //!   replication that lets EREW emulate CREW.
-//!
-//! The host machine for this reproduction has a single core, so wall-clock
-//! speedups are reported by the PRAM model (the paper's metric) while the
-//! rayon executor is validated for correctness and scales on real
-//! multicore hardware.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,8 +45,8 @@ pub mod scratch;
 pub mod steal;
 
 pub use batch::{
-    batch_path, batch_stats, solve_batch, solve_batch_metered, solve_batch_probed,
-    solve_batch_traced, ChunkTrace,
+    batch_stats, solve_batch, solve_batch_metered, solve_batch_probed, solve_batch_stealing,
+    solve_batch_stealing_metered, solve_batch_traced, ChunkTrace,
 };
 pub use cached::{solve_batch_cached, CachedBatchOutcome};
 pub use executor::{
@@ -59,6 +55,5 @@ pub use executor::{
 pub use pram::{crew_cost, erew_cost, replication_rounds, PramCost, PramModel};
 pub use scratch::WorkerScratch;
 pub use steal::{
-    solve_batch_stealing, solve_batch_stealing_metered, steal_seed, StealReport, WorkerLane,
-    STEAL_SEED_ENV, TASKS_PER_WORKER,
+    default_threads, steal_seed, StealReport, WorkerLane, STEAL_SEED_ENV, TASKS_PER_WORKER,
 };

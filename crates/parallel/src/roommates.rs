@@ -3,29 +3,43 @@
 //! The solvability experiments behind `roommates_solvability.csv` (and the
 //! Mertens-style scaling studies the ROADMAP aims at) need thousands of
 //! independent Irving solves per data point. Like [`crate::batch`] for
-//! Gale–Shapley, [`solve_batch`] fans the instances across the rayon pool
-//! with one reusable [`RoommatesWorkspace`] per worker thread, so the
-//! steady-state cost per instance is the solve itself — the only
-//! per-instance allocation is the partner array owned by each stable
-//! matching (unsolvable instances allocate nothing at all).
+//! Gale–Shapley, [`solve_batch`] fans the instances across the
+//! work-stealing executor ([`crate::steal`]) with one reusable
+//! [`RoommatesWorkspace`] per worker, so the steady-state cost per
+//! instance is the solve itself — the only per-instance allocation is the
+//! partner array owned by each stable matching (unsolvable instances
+//! allocate nothing at all). Every front runs the same task body as the
+//! GS fronts, `batch::solve_range`, monomorphized over its metrics and
+//! span sinks.
 //!
 //! Results are returned in input order and are identical to calling
 //! [`kmatch_roommates::solve`] on each instance serially (Irving's
 //! algorithm with a fixed seed policy is deterministic and instances share
-//! no state).
+//! no state) for any thread count or steal schedule.
 
-use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics, StdClock};
+use kmatch_obs::{BatchRegistry, Clock, Metrics, NoMetrics};
 use kmatch_prefs::RoommatesInstance;
 use kmatch_roommates::{RoommatesOutcome, RoommatesWorkspace};
-use kmatch_trace::{span, FlightRecorder, SpanSink};
-use rayon::prelude::*;
+use kmatch_trace::SpanSink;
 
-use crate::batch::ChunkTrace;
-use crate::steal::{run_tasks, task_layout, StealReport, WorkerLane};
+use crate::batch::{absorb, run_batch, run_traced, ChunkTrace, Engine, Untimed};
+use crate::steal::{default_threads, steal_seed, StealReport};
+
+impl Engine<RoommatesInstance> for RoommatesWorkspace {
+    type Out = RoommatesOutcome;
+    fn solve_observed<M: Metrics, S: SpanSink>(
+        &mut self,
+        inst: &RoommatesInstance,
+        metrics: &mut M,
+        spans: &mut S,
+    ) -> RoommatesOutcome {
+        self.solve_spanned(inst, metrics, spans)
+    }
+}
 
 /// Solve every roommates instance with the zero-allocation Irving fast
-/// path, fanning the batch across the rayon pool with one reusable
-/// [`RoommatesWorkspace`] per worker thread.
+/// path, fanning the batch across [`default_threads`] executor workers
+/// with one reusable [`RoommatesWorkspace`] per worker.
 ///
 /// Output order matches input order, and each outcome equals the one
 /// [`kmatch_roommates::solve`] would produce for that instance.
@@ -42,80 +56,36 @@ use crate::steal::{run_tasks, task_layout, StealReport, WorkerLane};
 /// assert_eq!(outcomes.len(), 32);
 /// ```
 pub fn solve_batch(instances: &[RoommatesInstance]) -> Vec<RoommatesOutcome> {
-    if crate::batch::batch_path() == "serial" {
-        let mut ws = RoommatesWorkspace::new();
-        return instances.iter().map(|inst| ws.solve(inst)).collect();
-    }
-    instances
-        .par_iter()
-        .map_init(RoommatesWorkspace::new, |ws, inst| ws.solve(inst))
-        .collect()
+    solve_batch_stealing(instances, default_threads(), steal_seed()).0
 }
 
 /// [`solve_batch`] with sharded metrics and per-solve wall timing.
 ///
-/// Mirrors [`crate::batch::solve_batch_metered`]: each worker solves a
-/// contiguous chunk through its own [`RoommatesWorkspace`] and
-/// thread-private [`SolverMetrics`] shard (no atomics or locks on the hot
-/// path), absorbing the shard into `registry` once when the chunk
-/// completes; per-solve wall time is sampled from the injected `clock` at
-/// this front-end so the engine stays clock-free.
+/// Mirrors [`crate::batch::solve_batch_metered`]: each executor task
+/// solves its range through its worker's [`RoommatesWorkspace`] and a
+/// task-private `SolverMetrics` shard (no atomics or locks on the hot
+/// path); shards are absorbed into `registry` in task-id order and the
+/// run's executor footprint is recorded there. Per-solve wall time is
+/// sampled from the injected `clock` at this front-end so the engine
+/// stays clock-free.
 pub fn solve_batch_metered<C: Clock + Sync>(
     instances: &[RoommatesInstance],
     registry: &BatchRegistry,
     clock: &C,
 ) -> Vec<RoommatesOutcome> {
-    let len = instances.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    if crate::batch::batch_path() == "serial" {
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<RoommatesOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        registry.absorb(shard);
-        return outs;
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let per_chunk: Vec<Vec<RoommatesOutcome>> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(len);
-            let mut ws = RoommatesWorkspace::new();
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<RoommatesOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            registry.absorb(shard);
-            outs
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
+    let (outs, report) =
+        solve_batch_stealing_metered(instances, default_threads(), steal_seed(), registry, clock);
+    registry.record_execution(report.to_execution_record());
+    outs
 }
 
 /// [`solve_batch_metered`] that additionally records a span timeline per
-/// worker chunk — the roommates mirror of
-/// [`crate::batch::solve_batch_traced`]. Each chunk's [`FlightRecorder`]
+/// executor worker — the roommates mirror of
+/// [`crate::batch::solve_batch_traced`]. Each worker's `FlightRecorder`
 /// (capacity `flight_capacity`, preallocated, never allocating while
-/// recording) wraps the chunk in a `batch.chunk` span around the
-/// per-solve `irving.*` spans; the returned [`ChunkTrace`]s feed
+/// recording) wraps every task it runs in a `batch.chunk` span (arg =
+/// task id) around the per-solve `irving.*` spans; the returned
+/// [`ChunkTrace`]s, ordered by worker id, feed
 /// `kmatch_trace::TraceTrack::workers` directly.
 pub fn solve_batch_traced<C: Clock + Sync>(
     instances: &[RoommatesInstance],
@@ -123,114 +93,34 @@ pub fn solve_batch_traced<C: Clock + Sync>(
     clock: &C,
     flight_capacity: usize,
 ) -> (Vec<RoommatesOutcome>, Vec<ChunkTrace>) {
-    let len = instances.len();
-    if len == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let solve_chunk = |c: usize, chunk_insts: &[RoommatesInstance]| {
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let mut rec = FlightRecorder::new(clock, flight_capacity);
-        rec.begin(span::BATCH_CHUNK, c as u64);
-        let outs: Vec<RoommatesOutcome> = chunk_insts
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_spanned(inst, &mut shard, &mut rec);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        rec.end(span::BATCH_CHUNK);
-        registry.absorb(shard);
-        let trace = ChunkTrace {
-            worker: c,
-            dropped: rec.dropped(),
-            events: rec.events(),
-        };
-        (outs, trace)
-    };
-    if crate::batch::batch_path() == "serial" {
-        let (outs, trace) = solve_chunk(0, instances);
-        return (outs, vec![trace]);
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let per_chunk: Vec<(Vec<RoommatesOutcome>, ChunkTrace)> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(len);
-            solve_chunk(c, &instances[lo..hi])
-        })
-        .collect();
-    let mut outs = Vec::with_capacity(len);
-    let mut traces = Vec::with_capacity(chunks);
-    for (chunk_outs, trace) in per_chunk {
-        outs.extend(chunk_outs);
-        traces.push(trace);
-    }
-    (outs, traces)
+    run_traced::<_, RoommatesWorkspace, _>(instances, registry, clock, flight_capacity)
 }
 
 /// Solve a roommates batch through the deterministic work-stealing
-/// executor (see [`crate::steal`]) with `threads` OS workers and the
-/// given steal-schedule seed.
+/// executor (see [`crate::steal`]) with `threads` OS workers (at most one
+/// per task) and the given steal-schedule seed.
 ///
 /// Outcomes are in input order and byte-identical to a serial
 /// [`RoommatesWorkspace::solve`] loop for **any** `threads`/`seed`
 /// combination — Irving's algorithm with the fixed seed policy is
 /// deterministic and instances share no state — so only the returned
 /// [`StealReport`] reflects the actual schedule. `threads <= 1` (or a
-/// trivial batch) takes the serial path with no worker threads at all.
+/// single-instance batch) runs inline on the caller with no worker
+/// threads at all.
 pub fn solve_batch_stealing(
     instances: &[RoommatesInstance],
     threads: usize,
     seed: u64,
 ) -> (Vec<RoommatesOutcome>, StealReport) {
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let clock = StdClock::new();
-        let t0 = clock.now_ns();
-        let mut ws = RoommatesWorkspace::new();
-        let outs: Vec<RoommatesOutcome> = instances.iter().map(|inst| ws.solve(inst)).collect();
-        let busy = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: busy,
-            wall_ns: busy,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| RoommatesWorkspace::new(),
-        |ws: &mut RoommatesWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            instances[lo..hi]
-                .iter()
-                .map(|inst| ws.solve(inst))
-                .collect::<Vec<RoommatesOutcome>>()
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, task_outs) in per_task {
-        outs.extend(task_outs);
-    }
+    let (outs, _, report) =
+        run_batch::<_, RoommatesWorkspace, NoMetrics, _>(instances, threads, seed, &Untimed);
     (outs, report)
 }
 
 /// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing, mirroring [`crate::steal::solve_batch_stealing_metered`].
+/// timing, mirroring [`crate::batch::solve_batch_stealing_metered`].
 ///
-/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
+/// Each *task* accumulates into its own thread-private `SolverMetrics`
 /// shard; shards are absorbed into `registry` in task-id order after the
 /// join, so the merged metrics are byte-identical for any steal schedule.
 pub fn solve_batch_stealing_metered<C>(
@@ -243,60 +133,9 @@ pub fn solve_batch_stealing_metered<C>(
 where
     C: Clock + Sync,
 {
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let t0 = clock.now_ns();
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<RoommatesOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let s0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                out
-            })
-            .collect();
-        if !outs.is_empty() {
-            registry.absorb(shard);
-        }
-        let wall = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: wall,
-            wall_ns: wall,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| RoommatesWorkspace::new(),
-        |ws: &mut RoommatesWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<RoommatesOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let s0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                    out
-                })
-                .collect();
-            (outs, shard)
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
+    let (outs, shards, report) =
+        run_batch::<_, RoommatesWorkspace, _, _>(instances, threads, seed, clock);
+    absorb(registry, shards);
     (outs, report)
 }
 
@@ -466,5 +305,32 @@ mod tests {
         );
         assert!(agg.solvable > 0, "most even instances are solvable");
         assert_eq!(batch_stats(&[]), RoommatesBatchStats::default());
+    }
+
+    #[test]
+    fn metered_batch_equals_plain_and_shards_merge() {
+        use kmatch_obs::{BatchRegistry, ManualClock};
+        let mut rng = ChaCha8Rng::seed_from_u64(67);
+        let batch: Vec<RoommatesInstance> =
+            (0..120).map(|_| uniform_roommates(16, &mut rng)).collect();
+        let registry = BatchRegistry::new();
+        let metered = solve_batch_metered(&batch, &registry, &ManualClock::new());
+        let plain = solve_batch(&batch);
+        for (a, b) in metered.iter().zip(&plain) {
+            assert_eq!(a.matching(), b.matching());
+            assert_eq!(a.stats(), b.stats());
+        }
+        // One shard per executor task, not per solve: exactly the task
+        // count the front recorded (1 on the serial path).
+        let record = registry.execution().expect("front records its execution");
+        assert_eq!(registry.shards_absorbed(), record.task_count);
+        assert_eq!(registry.take().solves, 120);
+        // The traced front records its execution the same way.
+        let (_, traces) = solve_batch_traced(&batch, &registry, &ManualClock::new(), 1 << 12);
+        let record = registry
+            .execution()
+            .expect("traced front records its execution");
+        assert_eq!(registry.shards_absorbed(), record.task_count);
+        assert_eq!(traces.len() as u64, record.threads);
     }
 }

@@ -1,12 +1,10 @@
-//! Per-worker scratch buffers shared by every parallel front-end.
+//! Per-worker scratch buffers of the binding executor.
 //!
-//! Each worker thread owns one [`WorkerScratch`] for the duration of a
-//! job: the GS solver workspace plus a CSR arena that snapshots strided
+//! Each executor worker owns one [`WorkerScratch`] for the duration of a
+//! round: the GS solver workspace plus a CSR arena that snapshots strided
 //! preference views (e.g. [`kmatch_prefs::KPartitePairView`]) into
-//! contiguous rows before solving. Both only grow, so a thread allocates
-//! scratch once and reuses it for every edge or instance it processes.
-//! The binding executor, the batch front-ends, and the incremental batch
-//! path all share this one type instead of growing private copies.
+//! contiguous rows before solving. Both only grow, so a worker allocates
+//! scratch once and reuses it for every edge it processes.
 
 use kmatch_gs::GsWorkspace;
 use kmatch_prefs::CsrPrefs;

@@ -1,28 +1,35 @@
-//! Deterministic work-stealing batch executor.
+//! Deterministic work-stealing executor — the one executor behind every
+//! parallel path in this crate: the GS and roommates batch fronts, the
+//! cached front's miss pass, and the binding executor's edge rounds.
 //!
-//! The static chunk fan-out of the original batch front-end assigns each
-//! worker one contiguous `len / threads` slice. That is optimal when every
-//! instance costs the same, but real sweeps mix sizes: one oversized chunk
-//! stalls the whole batch behind a single straggler. This module replaces
-//! the static split with fine-grained **task** chunks served from
+//! A static chunk fan-out assigns each worker one contiguous
+//! `len / threads` slice. That is optimal when every item costs the same,
+//! but real sweeps mix sizes: one oversized chunk stalls the whole batch
+//! behind a single straggler. Here fine-grained **tasks** are served from
 //! per-worker deques: a worker drains its own deque front-to-back and,
 //! when empty, steals from the *back* of a victim's deque — the classic
-//! work-stealing discipline, here built on `std` only (`Mutex<VecDeque>`
+//! work-stealing discipline, built on `std` only (`Mutex<VecDeque>`
 //! deques; the workspace forbids `unsafe`, so a lock-free Chase–Lev ring
 //! is off the table, and the lock is uncontended except during steals).
+//!
+//! `run_tasks` is the only place that decides between serial and
+//! threaded execution or spawns threads. It starts
+//! `min(threads, task_count)` workers — never more workers than tasks —
+//! and when that is at most one it runs the worker loop inline on the
+//! caller with a single worker state (path `"serial"`: no threads).
 //!
 //! **Determinism.** Steal timing is inherently racy, so the executor is
 //! engineered to make the *schedule* unobservable:
 //!
-//! * task → instance-range assignment is fixed up front (task `t` covers
+//! * task → item-range assignment is fixed up front (task `t` covers
 //!   `[t·chunk, (t+1)·chunk)`), so which worker runs a task cannot change
-//!   what the task computes (each GS solve is already deterministic);
-//! * every task's results are keyed by task id and concatenated in task-id
-//!   order after the join, so the output `Vec` is byte-identical no matter
-//!   who ran what when;
-//! * per-task metric shards are absorbed into the [`BatchRegistry`] in
-//!   task-id order after the join, so merged metrics are byte-identical
-//!   too;
+//!   what the task computes (each solve is already deterministic);
+//! * every task's results are keyed by task id and returned in task-id
+//!   order after the join, so the output `Vec` is byte-identical no
+//!   matter who ran what when;
+//! * per-task metric shards are absorbed into the
+//!   [`BatchRegistry`](kmatch_obs::BatchRegistry) in task-id order after
+//!   the join, so merged metrics are byte-identical too;
 //! * victim selection is a seeded permutation per worker
 //!   ([`steal_seed`], from `KMATCH_STEAL_SEED`), so even the steal
 //!   *attempt order* is reproducible for a given seed — and the executor
@@ -38,12 +45,11 @@
 //! everything the solver computes is schedule-independent.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use kmatch_gs::{GsOutcome, GsWorkspace};
-use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics, StdClock};
-use kmatch_prefs::PrefOracle;
+use kmatch_obs::{Clock, StdClock};
 
 /// Environment variable holding the steal-schedule seed consumed by
 /// [`steal_seed`]. The seed perturbs victim order only — outputs are
@@ -65,6 +71,14 @@ pub fn steal_seed() -> u64 {
         .unwrap_or(0)
 }
 
+/// Worker threads the parallel fronts use when the caller does not pick a
+/// count: the host's available parallelism (1 when it cannot be read).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// One worker's execution accounting for a stealing run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerLane {
@@ -80,19 +94,20 @@ pub struct WorkerLane {
     pub wall_ns: u64,
 }
 
-/// Execution report of one [`solve_batch_stealing`] run: the schedule's
-/// observable footprint (the outputs themselves are schedule-independent).
+/// Execution report of one executor run: the schedule's observable
+/// footprint (the outputs themselves are schedule-independent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StealReport {
-    /// Worker threads the run used.
+    /// Worker threads the run actually started (`min(threads, tasks)`;
+    /// 1 on the inline serial path, 0 for an empty run).
     pub threads: usize,
     /// Steal-schedule seed (victim-order perturbation only).
     pub seed: u64,
-    /// Tasks the batch was split into.
+    /// Tasks the run was split into.
     pub task_count: usize,
     /// Total successful steals across workers.
     pub steal_count: u64,
-    /// `"serial"` (single worker, no deques) or `"stealing"`.
+    /// `"serial"` (at most one worker, run inline) or `"stealing"`.
     pub path: &'static str,
     /// Per-worker accounting, indexed by worker id.
     pub lanes: Vec<WorkerLane>,
@@ -146,17 +161,6 @@ impl StealReport {
                 .collect(),
         }
     }
-
-    pub(crate) fn serial(task_count: usize, seed: u64, lane: WorkerLane) -> Self {
-        StealReport {
-            threads: 1,
-            seed,
-            task_count,
-            steal_count: 0,
-            path: "serial",
-            lanes: vec![lane],
-        }
-    }
 }
 
 /// SplitMix64 step — the seed expander behind victim-order shuffles.
@@ -180,270 +184,184 @@ fn victim_order(threads: usize, worker: usize, seed: u64) -> Vec<usize> {
     victims
 }
 
-/// Run `task_count` tasks across `threads` workers with work stealing.
+/// Run `task_count` tasks on `min(threads, task_count)` workers with work
+/// stealing.
 ///
 /// `init` builds one scratch state per worker (it receives the worker
 /// index, so worker-lane artifacts — probes, span registers — can bind to
 /// their lane); `run` executes a task by id against that state. Returns
-/// every task's result keyed by id (sorted ascending —
-/// schedule-independent), the per-worker states in worker order (for
-/// worker-lifetime artifacts like span recorders), and the execution
-/// report.
+/// every task's result in task-id order (schedule-independent), the
+/// per-worker states in worker order (for worker-lifetime artifacts like
+/// span recorders), and the execution report. With at most one worker
+/// every task runs inline on the caller against one `init(0)` state.
 pub(crate) fn run_tasks<S, T, F, G>(
     task_count: usize,
     threads: usize,
     seed: u64,
     init: G,
     run: F,
-) -> (Vec<(usize, T)>, Vec<S>, StealReport)
+) -> (Vec<T>, Vec<S>, StealReport)
 where
     T: Send,
     S: Send,
     F: Fn(&mut S, usize) -> T + Sync,
     G: Fn(usize) -> S + Sync,
 {
+    let workers = threads.max(1).min(task_count);
     let clock = StdClock::new();
     let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     // Fixed round-robin placement: deterministic, and it spreads the
     // early (often largest, if sorted) tasks across workers.
     for t in 0..task_count {
-        deques[t % threads]
+        deques[t % workers]
             .lock()
             .expect("steal deque poisoned")
             .push_back(t);
     }
     let remaining = AtomicUsize::new(task_count);
-    // One worker's contribution: task-id-keyed results, its final state
+    // One worker's life: drain its own deque, then steal, until every
+    // task is done. Yields its task-id-keyed results, its final state
     // (worker-lifetime artifacts like span recorders), and its lane log.
-    type WorkerYield<T, S> = (Vec<(usize, T)>, S, WorkerLane);
-    let mut per_worker: Vec<WorkerYield<T, S>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let deques = &deques;
-                let remaining = &remaining;
-                let clock = &clock;
-                let init = &init;
-                let run = &run;
-                scope.spawn(move || {
-                    let t0 = clock.now_ns();
-                    let victims = victim_order(threads, w, seed);
-                    let mut state = init(w);
-                    let mut results = Vec::new();
-                    let mut lane = WorkerLane {
-                        worker: w,
-                        ..WorkerLane::default()
-                    };
-                    loop {
-                        let own = deques[w].lock().expect("steal deque poisoned").pop_front();
-                        let (task, stolen) = match own {
-                            Some(t) => (Some(t), false),
-                            None => {
-                                let mut found = None;
-                                for &v in &victims {
-                                    found =
-                                        deques[v].lock().expect("steal deque poisoned").pop_back();
-                                    if found.is_some() {
-                                        break;
-                                    }
-                                }
-                                (found, true)
-                            }
-                        };
-                        match task {
-                            Some(t) => {
-                                lane.tasks += 1;
-                                lane.steals += stolen as u64;
-                                let b0 = clock.now_ns();
-                                results.push((t, run(&mut state, t)));
-                                lane.busy_ns += clock.now_ns().saturating_sub(b0);
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            None => {
-                                // Every deque is empty; the batch is done
-                                // once in-flight tasks finish.
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
+    let work = |w: usize| {
+        let t0 = clock.now_ns();
+        let victims = victim_order(workers, w, seed);
+        let mut state = init(w);
+        let mut results = Vec::new();
+        let mut lane = WorkerLane {
+            worker: w,
+            ..WorkerLane::default()
+        };
+        loop {
+            let own = deques[w].lock().expect("steal deque poisoned").pop_front();
+            let (task, stolen) = match own {
+                Some(t) => (Some(t), false),
+                None => {
+                    let mut found = None;
+                    for &v in &victims {
+                        found = deques[v].lock().expect("steal deque poisoned").pop_back();
+                        if found.is_some() {
+                            break;
                         }
                     }
-                    lane.wall_ns = clock.now_ns().saturating_sub(t0);
-                    (results, state, lane)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("steal worker panicked"))
-            .collect()
-    });
-    let mut results = Vec::with_capacity(task_count);
-    let mut states = Vec::with_capacity(threads);
-    let mut lanes = Vec::with_capacity(threads);
+                    (found, true)
+                }
+            };
+            match task {
+                Some(t) => {
+                    lane.tasks += 1;
+                    lane.steals += stolen as u64;
+                    let b0 = clock.now_ns();
+                    results.push((t, run(&mut state, t)));
+                    lane.busy_ns += clock.now_ns().saturating_sub(b0);
+                    remaining.fetch_sub(1, Ordering::AcqRel);
+                }
+                None => {
+                    // Every deque is empty; the run is done once
+                    // in-flight tasks finish.
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        }
+        lane.wall_ns = clock.now_ns().saturating_sub(t0);
+        (results, state, lane)
+    };
+    // At most one worker runs inline on the caller: no threads at all.
+    let per_worker: Vec<_> = if workers <= 1 {
+        (0..workers).map(work).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("steal worker panicked"))
+                .collect()
+        })
+    };
+    let mut keyed = Vec::with_capacity(task_count);
+    let mut states = Vec::with_capacity(workers);
+    let mut lanes = Vec::with_capacity(workers);
     let mut steal_count = 0;
-    for (mut task_results, state, lane) in per_worker.drain(..) {
-        results.append(&mut task_results);
+    for (mut task_results, state, lane) in per_worker {
+        keyed.append(&mut task_results);
         steal_count += lane.steals;
         states.push(state);
         lanes.push(lane);
     }
     // Task-id order restores the input order no matter which worker ran
     // which task — this sort is what makes the schedule unobservable.
-    // (The join above already yields workers in spawn order, so states
-    // and lanes arrive sorted by worker id.)
-    results.sort_unstable_by_key(|&(t, _)| t);
+    // (Workers are collected in spawn order, so states and lanes arrive
+    // sorted by worker id.)
+    keyed.sort_unstable_by_key(|&(t, _)| t);
     let report = StealReport {
-        threads,
+        threads: workers,
         seed,
         task_count,
         steal_count,
-        path: "stealing",
+        path: if workers > 1 { "stealing" } else { "serial" },
         lanes,
     };
-    (results, states, report)
+    (keyed.into_iter().map(|(_, r)| r).collect(), states, report)
 }
 
-/// Split `len` instances into fine-grained task ranges for `threads`
-/// workers: `(chunk_size, task_count)`.
+/// Split `len` items into task ranges for `threads` workers:
+/// `(chunk_size, task_count)`. One worker gets the whole batch as a single
+/// task; more workers get [`TASKS_PER_WORKER`] fine-grained tasks each.
 pub(crate) fn task_layout(len: usize, threads: usize) -> (usize, usize) {
-    let chunk = len.div_ceil(threads * TASKS_PER_WORKER).max(1);
+    let tasks = if threads <= 1 {
+        1
+    } else {
+        threads * TASKS_PER_WORKER
+    };
+    let chunk = len.div_ceil(tasks).max(1);
     (chunk, len.div_ceil(chunk))
 }
 
-/// Solve a batch through the work-stealing executor with `threads` OS
-/// workers and the given steal-schedule seed.
-///
-/// Outcomes are in input order and byte-identical to a serial
-/// [`GsWorkspace::solve`] loop for **any** `threads`/`seed` combination;
-/// only the returned [`StealReport`] reflects the actual schedule.
-/// `threads <= 1` (or a trivial batch) takes the serial path with no
-/// worker threads at all.
-pub fn solve_batch_stealing<P>(
-    instances: &[P],
+/// Run a batch of `items` as [`task_layout`] ranges on [`run_tasks`]:
+/// `run(state, task, range)` returns the range's outputs plus one
+/// per-task extra (a metrics shard, or `()`). Returns the outputs in
+/// input order, the extras in task-id order, the worker states in worker
+/// order, and the execution report.
+pub(crate) fn run_chunks<I, O, X, W, G, F>(
+    items: &[I],
     threads: usize,
     seed: u64,
-) -> (Vec<GsOutcome>, StealReport)
+    init: G,
+    run: F,
+) -> (Vec<O>, Vec<X>, Vec<W>, StealReport)
 where
-    P: PrefOracle + Sync,
+    I: Sync,
+    O: Send,
+    X: Send,
+    W: Send,
+    G: Fn(usize) -> W + Sync,
+    F: Fn(&mut W, usize, &[I]) -> (Vec<O>, X) + Sync,
 {
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let clock = StdClock::new();
-        let t0 = clock.now_ns();
-        let mut ws = GsWorkspace::new();
-        let outs: Vec<GsOutcome> = instances.iter().map(|inst| ws.solve(inst)).collect();
-        let busy = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: busy,
-            wall_ns: busy,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
+    let len = items.len();
     let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| GsWorkspace::new(),
-        |ws: &mut GsWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            instances[lo..hi]
-                .iter()
-                .map(|inst| ws.solve(inst))
-                .collect::<Vec<GsOutcome>>()
-        },
-    );
+    let (per_task, states, report) = run_tasks(task_count, threads, seed, init, |w, t| {
+        let lo = t * chunk;
+        run(w, t, &items[lo..(lo + chunk).min(len)])
+    });
     let mut outs = Vec::with_capacity(len);
-    for (_, task_outs) in per_task {
+    let mut extras = Vec::with_capacity(task_count);
+    for (task_outs, extra) in per_task {
         outs.extend(task_outs);
+        extras.push(extra);
     }
-    (outs, report)
-}
-
-/// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing, mirroring the metered static front-end.
-///
-/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
-/// shard; shards are absorbed into `registry` in task-id order after the
-/// join, so the merged metrics are byte-identical for any steal schedule.
-pub fn solve_batch_stealing_metered<P, C>(
-    instances: &[P],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-) -> (Vec<GsOutcome>, StealReport)
-where
-    P: PrefOracle + Sync,
-    C: Clock + Sync,
-{
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let t0 = clock.now_ns();
-        let mut ws = GsWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<GsOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let s0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                out
-            })
-            .collect();
-        if !outs.is_empty() {
-            registry.absorb(shard);
-        }
-        let wall = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: wall,
-            wall_ns: wall,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| GsWorkspace::new(),
-        |ws: &mut GsWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<GsOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let s0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                    out
-                })
-                .collect();
-            (outs, shard)
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
-    (outs, report)
+    (outs, extras, states, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmatch_obs::ManualClock;
+    use crate::batch::{solve_batch_stealing, solve_batch_stealing_metered};
+    use kmatch_gs::{GsOutcome, GsWorkspace};
+    use kmatch_obs::{BatchRegistry, ManualClock};
     use kmatch_prefs::gen::uniform::uniform_bipartite;
     use kmatch_prefs::BipartiteInstance;
     use rand::SeedableRng;
@@ -566,7 +484,7 @@ mod tests {
     #[test]
     fn task_layout_covers_every_instance_exactly_once() {
         for len in [0usize, 1, 7, 16, 97, 1000] {
-            for threads in [2usize, 3, 8] {
+            for threads in [1usize, 2, 3, 8] {
                 let (chunk, tasks) = task_layout(len, threads);
                 let covered: usize = (0..tasks)
                     .map(|t| ((t + 1) * chunk).min(len) - (t * chunk).min(len))
@@ -605,7 +523,10 @@ mod tests {
         let mut skewed = balanced.clone();
         skewed.lanes[1].busy_ns = 300;
         assert!((skewed.straggler_ratio() - 1.5).abs() < 1e-12);
-        let empty = StealReport::serial(0, 0, WorkerLane::default());
+        let empty = StealReport {
+            lanes: vec![WorkerLane::default()],
+            ..balanced.clone()
+        };
         assert_eq!(empty.straggler_ratio(), 0.0);
     }
 
@@ -666,5 +587,65 @@ mod tests {
             report.lanes.iter().map(|l| l.tasks).sum::<u64>(),
             task_count as u64
         );
+    }
+
+    #[test]
+    fn workers_are_clamped_to_the_task_count() {
+        // Asking for more workers than tasks starts one worker per task:
+        // idle extras would only spin on an empty deque set.
+        let (out, states, report) = run_tasks(3, 16, 0, |w| w, |_, t| t * 10);
+        assert_eq!(out, vec![0, 10, 20]);
+        assert_eq!(states, vec![0, 1, 2], "one state per started worker");
+        assert_eq!(
+            (report.path, report.threads, report.lanes.len()),
+            ("stealing", 3, 3)
+        );
+        assert_eq!(report.lanes.iter().map(|l| l.tasks).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_inline_on_one_state() {
+        let caller = std::thread::current().id();
+        let (out, states, report) = run_tasks(
+            5,
+            1,
+            3,
+            |w| (w, 0usize),
+            |state, t| {
+                assert_eq!(std::thread::current().id(), caller, "no worker thread");
+                state.1 += 1;
+                t
+            },
+        );
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+        assert_eq!(states, vec![(0, 5)], "a single init(0) state ran all tasks");
+        let shape = (
+            report.path,
+            report.threads,
+            report.task_count,
+            report.steal_count,
+        );
+        assert_eq!(shape, ("serial", 1, 5, 0));
+        assert_eq!(
+            report.lanes.iter().map(|l| l.tasks).collect::<Vec<_>>(),
+            vec![5]
+        );
+        // Zero requested threads still runs every task, inline.
+        let (out, _, report) = run_tasks(2, 0, 0, |_| (), |_, t| t);
+        assert_eq!((out, report.threads), (vec![0, 1], 1));
+    }
+
+    #[test]
+    fn empty_run_starts_no_worker() {
+        let (out, states, report) = run_tasks(0, 8, 0, |w| w, |_: &mut usize, t: usize| t);
+        assert!(out.is_empty() && states.is_empty() && report.lanes.is_empty());
+        assert_eq!((report.threads, report.straggler_ratio()), (0, 0.0));
+    }
+
+    #[test]
+    fn one_thread_layout_is_a_single_task() {
+        assert_eq!(task_layout(97, 1), (97, 1));
+        assert_eq!(task_layout(97, 0), (97, 1));
+        assert_eq!(task_layout(0, 1), (1, 0));
     }
 }

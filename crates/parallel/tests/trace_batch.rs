@@ -1,4 +1,4 @@
-//! Traced batch front-ends: per-chunk `batch.chunk` timelines through
+//! Traced batch front-ends: per-worker `batch.chunk` timelines through
 //! fixed-capacity flight recorders, identical outcomes to the plain path.
 
 use kmatch_obs::{BatchRegistry, ManualClock};
@@ -105,12 +105,27 @@ fn traced_roommates_batch_matches_plain() {
         assert_eq!(a.matching(), b.matching());
         assert_eq!(a.stats(), b.stats());
     }
+    assert!(!traces.is_empty());
+    let task_count = registry
+        .execution()
+        .expect("front records its execution")
+        .task_count;
     let mut phase1 = 0usize;
+    let mut chunk_ids = Vec::new();
     for (i, t) in traces.iter().enumerate() {
+        assert_eq!(t.worker, i, "chunk traces arrive in worker order");
         check_well_formed(&t.events, false).unwrap();
-        assert_eq!(
-            t.events.first().map(|e| (e.name, e.arg)),
-            Some((span::BATCH_CHUNK, i as u64))
+        // A worker's timeline is a sequence of whole batch.chunk spans,
+        // one per task it ran (a worker that ran none has an empty one).
+        if !t.events.is_empty() {
+            assert_eq!(t.events.first().map(|e| e.name), Some(span::BATCH_CHUNK));
+            assert_eq!(t.events.last().map(|e| e.name), Some(span::BATCH_CHUNK));
+        }
+        chunk_ids.extend(
+            t.events
+                .iter()
+                .filter(|e| e.kind == EventKind::Begin && e.name == span::BATCH_CHUNK)
+                .map(|e| e.arg),
         );
         phase1 += t
             .events
@@ -118,6 +133,9 @@ fn traced_roommates_batch_matches_plain() {
             .filter(|e| e.kind == EventKind::Begin && e.name == span::IRVING_PHASE1)
             .count();
     }
+    // Every task appears on exactly one worker track, carrying its id.
+    chunk_ids.sort_unstable();
+    assert_eq!(chunk_ids, (0..task_count).collect::<Vec<_>>());
     assert_eq!(phase1, batch.len());
     assert_eq!(registry.take().solves, batch.len() as u64);
 }

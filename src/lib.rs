@@ -6,8 +6,8 @@
 //! algorithm, plus everything the paper builds on — the classic GS
 //! algorithm, Irving's stable-roommates algorithm with incomplete lists,
 //! binding-tree machinery (Prüfer codes, bitonic trees, parallel
-//! schedules), and a rayon-based parallel executor with the paper's PRAM
-//! cost model.
+//! schedules), and a work-stealing parallel executor with the paper's
+//! PRAM cost model.
 //!
 //! ## Quick start
 //!
@@ -38,7 +38,7 @@
 //! | [`gs`] | instrumented Gale–Shapley engines, bipartite stability |
 //! | [`roommates`] | Irving's algorithm, fair SMP, k-partite binary adapter |
 //! | [`core`] | k-ary matching, Algorithms 1–2, blocking-family verifiers |
-//! | [`parallel`] | rayon executor, PRAM cost model |
+//! | [`parallel`] | work-stealing executor, PRAM cost model |
 //! | [`distsim`] | synchronous message-passing runtime, distributed GS/binding |
 //! | [`baselines`] | cyclic & combination 3DSM baselines (§I, reference 4) |
 //!

@@ -51,7 +51,7 @@ proptest! {
         }
     }
 
-    /// The rayon executor is bit-identical to sequential Algorithm 1.
+    /// The parallel executor is bit-identical to sequential Algorithm 1.
     #[test]
     fn parallel_equals_sequential(seed in 0u64..1_000_000, k in 2usize..7, n in 1usize..8) {
         let mut r = rng(seed);
