@@ -82,5 +82,10 @@ fn bench_fair_smp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_roommates, bench_roommates_batch, bench_fair_smp);
+criterion_group!(
+    benches,
+    bench_roommates,
+    bench_roommates_batch,
+    bench_fair_smp
+);
 criterion_main!(benches);

@@ -25,14 +25,12 @@
 //!
 //! Run with `cargo run --release --bin bench_gs_json`.
 
-use kmatch_bench::harness::{
-    bipartite_batch, measure_blocks, write_results, OverheadRow,
-};
+use kmatch_bench::harness::{bipartite_batch, measure_blocks, write_results, OverheadRow};
 use kmatch_bench::rng;
+use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
 use kmatch_ops::{Level, OpsConfig, OpsState};
-use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
 use kmatch_parallel::{
     default_threads, solve_batch, solve_batch_metered, solve_batch_probed, solve_batch_traced,
 };
@@ -269,12 +267,7 @@ fn batch_row() -> BatchRow {
                     .map(|inst| ws.solve(inst).stats.proposals)
                     .sum()
             },
-            &mut || {
-                solve_batch(&batch)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
-            },
+            &mut || solve_batch(&batch).iter().map(|o| o.stats.proposals).sum(),
         ],
     );
     let threads = default_threads();
@@ -309,12 +302,7 @@ fn overhead_row() -> (OverheadRow, RunReport) {
         3,
         reps,
         [
-            &mut || {
-                solve_batch(&batch)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
-            },
+            &mut || solve_batch(&batch).iter().map(|o| o.stats.proposals).sum(),
             &mut || {
                 solve_batch_metered(&batch, &registry, &clock)
                     .iter()

@@ -11,9 +11,7 @@
 //! batch (acceptance target < 5%). Run with
 //! `cargo run --release --bin bench_roommates_json`.
 
-use kmatch_bench::harness::{
-    measure_blocks, roommates_batch, write_results, OverheadRow,
-};
+use kmatch_bench::harness::{measure_blocks, roommates_batch, write_results, OverheadRow};
 use kmatch_bench::rng;
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, SolverMetrics, StdClock};
 use kmatch_parallel::default_threads;

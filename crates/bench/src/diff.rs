@@ -107,7 +107,10 @@ enum Rule {
 
 /// Classify a leaf by its key name.
 fn rule_for(key: &str) -> Rule {
-    if matches!(key, "threads" | "path" | "seed" | "steal_count" | "task_count") {
+    if matches!(
+        key,
+        "threads" | "path" | "seed" | "steal_count" | "task_count"
+    ) {
         return Rule::Ignore;
     }
     if key.ends_with("_ns") {
@@ -119,13 +122,24 @@ fn rule_for(key: &str) -> Rule {
     if key.ends_with("_bytes") {
         return Rule::Bytes;
     }
-    if key == "efficiency" || key == "speedup" || key.starts_with("speedup_") || key.ends_with("_speedup") {
+    if key == "efficiency"
+        || key == "speedup"
+        || key.starts_with("speedup_")
+        || key.ends_with("_speedup")
+    {
         return Rule::Ratio;
     }
     Rule::Exact
 }
 
-fn compare_number(path: &str, key: &str, base: f64, fresh: f64, cfg: &DiffConfig, rep: &mut DiffReport) {
+fn compare_number(
+    path: &str,
+    key: &str,
+    base: f64,
+    fresh: f64,
+    cfg: &DiffConfig,
+    rep: &mut DiffReport,
+) {
     rep.compared += 1;
     let pct = |a: f64, b: f64| {
         if a == 0.0 {
@@ -137,8 +151,9 @@ fn compare_number(path: &str, key: &str, base: f64, fresh: f64, cfg: &DiffConfig
     match rule_for(key) {
         Rule::Ignore => {
             if base != fresh {
-                rep.notes
-                    .push(format!("{path}: host-shape drift {base} -> {fresh} (ignored)"));
+                rep.notes.push(format!(
+                    "{path}: host-shape drift {base} -> {fresh} (ignored)"
+                ));
             }
         }
         Rule::Timing => {
@@ -178,8 +193,9 @@ fn compare_number(path: &str, key: &str, base: f64, fresh: f64, cfg: &DiffConfig
         }
         Rule::Exact => {
             if base != fresh {
-                rep.regressions
-                    .push(format!("{path}: counter changed {base} -> {fresh} (must match exactly)"));
+                rep.regressions.push(format!(
+                    "{path}: counter changed {base} -> {fresh} (must match exactly)"
+                ));
             }
         }
     }
@@ -188,7 +204,14 @@ fn compare_number(path: &str, key: &str, base: f64, fresh: f64, cfg: &DiffConfig
 /// Recursively compare `fresh` against `base`, accumulating into `rep`.
 /// `path` locates the subtree for messages; `key` is the leaf key that
 /// selects the comparison rule (array elements inherit their array's).
-pub fn diff_values(path: &str, key: &str, base: &Value, fresh: &Value, cfg: &DiffConfig, rep: &mut DiffReport) {
+pub fn diff_values(
+    path: &str,
+    key: &str,
+    base: &Value,
+    fresh: &Value,
+    cfg: &DiffConfig,
+    rep: &mut DiffReport,
+) {
     match (base, fresh) {
         (Value::Object(bf), Value::Object(ff)) => {
             for (k, bv) in bf {
@@ -242,7 +265,13 @@ pub fn diff_values(path: &str, key: &str, base: &Value, fresh: &Value, cfg: &Dif
 }
 
 /// Compare two JSON documents; `name` prefixes every message.
-pub fn diff_json_text(name: &str, baseline: &str, fresh: &str, cfg: &DiffConfig, rep: &mut DiffReport) -> Result<(), String> {
+pub fn diff_json_text(
+    name: &str,
+    baseline: &str,
+    fresh: &str,
+    cfg: &DiffConfig,
+    rep: &mut DiffReport,
+) -> Result<(), String> {
     let b: Value = serde_json::from_str(baseline).map_err(|e| format!("{name} (baseline): {e}"))?;
     let f: Value = serde_json::from_str(fresh).map_err(|e| format!("{name} (fresh): {e}"))?;
     diff_values(name, "", &b, &f, cfg, rep);
@@ -257,7 +286,11 @@ pub fn is_gated_file(name: &str) -> bool {
 /// Compare every gated file of `baseline_dir` against its counterpart in
 /// `fresh_dir`. A baseline file with no fresh counterpart is a
 /// regression; extra fresh files are notes.
-pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, cfg: &DiffConfig) -> Result<DiffReport, String> {
+pub fn diff_dirs(
+    baseline_dir: &Path,
+    fresh_dir: &Path,
+    cfg: &DiffConfig,
+) -> Result<DiffReport, String> {
     let listing = |dir: &Path| -> Result<Vec<String>, String> {
         let mut names: Vec<String> = fs::read_dir(dir)
             .map_err(|e| format!("reading {}: {e}", dir.display()))?
@@ -283,7 +316,8 @@ pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, cfg: &DiffConfig) -> Res
                 .push(format!("{name}: missing from fresh results"));
             continue;
         }
-        let read = |p: &Path| fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()));
+        let read =
+            |p: &Path| fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()));
         let base_text = read(&baseline_dir.join(name))?;
         let fresh_text = read(&fresh_path)?;
         diff_json_text(name, &base_text, &fresh_text, cfg, &mut rep)?;
@@ -349,7 +383,10 @@ mod tests {
         );
         assert!(rep.ok());
         // A 10x blowup under the 32 MiB floor is accounting jitter.
-        let rep = run(r#"{"peak_rss_bytes": 1000000}"#, r#"{"peak_rss_bytes": 10000000}"#);
+        let rep = run(
+            r#"{"peak_rss_bytes": 1000000}"#,
+            r#"{"peak_rss_bytes": 10000000}"#,
+        );
         assert!(rep.ok(), "{:?}", rep.regressions);
     }
 
@@ -365,7 +402,11 @@ mod tests {
     fn counter_drift_is_a_regression() {
         let rep = run(r#"{"proposals": 100}"#, r#"{"proposals": 101}"#);
         assert!(!rep.ok());
-        assert!(rep.regressions[0].contains("t.proposals"), "{:?}", rep.regressions);
+        assert!(
+            rep.regressions[0].contains("t.proposals"),
+            "{:?}",
+            rep.regressions
+        );
     }
 
     #[test]
@@ -429,7 +470,11 @@ mod tests {
         let fresh = r#"{"single": [{"n": 256, "reference_ns": 100000}, {"n": 1024, "reference_ns": 90000000}]}"#;
         let rep = run(base, fresh);
         assert_eq!(rep.regressions.len(), 1);
-        assert!(rep.regressions[0].contains("t.single[1].reference_ns"), "{:?}", rep.regressions);
+        assert!(
+            rep.regressions[0].contains("t.single[1].reference_ns"),
+            "{:?}",
+            rep.regressions
+        );
     }
 
     #[test]

@@ -56,9 +56,18 @@ fn clean_comparison_passes_and_regression_fails_check() {
     write_pair(&base, &fresh, &doctored);
     let out = run(&["--baseline", b, "--fresh", f, "--check"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!out.status.success(), "injected regression must fail --check: {stdout}");
-    assert!(stdout.contains("REGRESSION: BENCH_gs.json.single[1].fastpath_ns"), "{stdout}");
-    assert!(stdout.contains("REGRESSION: BENCH_gs.json.single[0].proposals"), "{stdout}");
+    assert!(
+        !out.status.success(),
+        "injected regression must fail --check: {stdout}"
+    );
+    assert!(
+        stdout.contains("REGRESSION: BENCH_gs.json.single[1].fastpath_ns"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("REGRESSION: BENCH_gs.json.single[0].proposals"),
+        "{stdout}"
+    );
     assert!(stdout.contains("bench diff: FAIL (--check)"), "{stdout}");
 
     // Report-only mode surfaces the same rows but keeps exit 0.
@@ -69,7 +78,15 @@ fn clean_comparison_passes_and_regression_fails_check() {
 
     // A loosened tolerance waves the slowdown through (counter drift
     // still fails: counters take no tolerance).
-    let out = run(&["--baseline", b, "--fresh", f, "--check", "--timing-tol", "9.0"]);
+    let out = run(&[
+        "--baseline",
+        b,
+        "--fresh",
+        f,
+        "--check",
+        "--timing-tol",
+        "9.0",
+    ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success());
     assert!(!stdout.contains("fastpath_ns"), "{stdout}");

@@ -30,7 +30,10 @@ impl Args {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("flag --{stripped} expects a value"))?;
-                    out.flags.entry(stripped.to_string()).or_default().push(value);
+                    out.flags
+                        .entry(stripped.to_string())
+                        .or_default()
+                        .push(value);
                 }
             } else {
                 out.positional.push(arg);

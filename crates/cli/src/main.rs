@@ -1015,9 +1015,11 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
     // so a crash mid-batch leaves a validating bundle behind.
     if let Some(dir) = args.flag("postmortem-dir") {
         let Some(handle) = ops.as_ref() else {
-            return Err("--postmortem-dir requires --ops-listen (the bundle writer lives \
+            return Err(
+                "--postmortem-dir requires --ops-listen (the bundle writer lives \
                         on the operator plane)"
-                .to_string());
+                    .to_string(),
+            );
         };
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir)
@@ -1872,7 +1874,9 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         let rebuilt = rebuild_ws.solve(&rebuild_csr);
         let r_ns = t1.elapsed().as_nanos() as u64;
         if applied.matching != rebuilt.matching {
-            return Err(format!("delta {i}: patched and rebuilt matchings diverge (bug)"));
+            return Err(format!(
+                "delta {i}: patched and rebuilt matchings diverge (bug)"
+            ));
         }
         let d = PrefDeltaDto::from(delta);
         println!(
@@ -2137,19 +2141,40 @@ mod tests {
     fn serve_flag_validation_rejects_bad_combinations() {
         // Stall injection belongs to the escalating driver only.
         assert!(call(&[
-            "serve", "--listen", "127.0.0.1:0", "--kind", "gs", "--inject-stall-ms", "50",
-            "--iterations", "1",
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--kind",
+            "gs",
+            "--inject-stall-ms",
+            "50",
+            "--iterations",
+            "1",
         ])
         .is_err());
         assert!(call(&["serve", "--listen", "127.0.0.1:0", "--prefs", "zipf"]).is_err());
         assert!(call(&[
-            "serve", "--listen", "127.0.0.1:0", "--prefs", "random", "--input", "x.json",
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--prefs",
+            "random",
+            "--input",
+            "x.json",
         ])
         .is_err());
         assert!(call(&["serve", "--listen", "127.0.0.1:0", "--stall-ms", "0"]).is_err());
         // batch --postmortem-dir needs the operator plane.
-        assert!(call(&["batch", "--n", "4", "--count", "2", "--postmortem-dir", "/tmp/x"])
-            .is_err());
+        assert!(call(&[
+            "batch",
+            "--n",
+            "4",
+            "--count",
+            "2",
+            "--postmortem-dir",
+            "/tmp/x"
+        ])
+        .is_err());
     }
 
     #[test]
@@ -2226,7 +2251,10 @@ mod tests {
         std::fs::write(&junk, r#"{"schema": "not-a-postmortem"}"#).unwrap();
         assert!(call(&["postmortem", "validate", "--input", junk.to_str().unwrap()]).is_err());
         assert!(call(&["postmortem", "inspect", "--input", junk.to_str().unwrap()]).is_err());
-        assert!(call(&["postmortem", "validate"]).is_err(), "--input required");
+        assert!(
+            call(&["postmortem", "validate"]).is_err(),
+            "--input required"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,7 +48,11 @@ impl TraceOpts {
                 "--trace-format and --flight-recorder require --trace-out FILE".to_string(),
             );
         }
-        Ok(TraceOpts { out, format, flight })
+        Ok(TraceOpts {
+            out,
+            format,
+            flight,
+        })
     }
 
     /// Whether this run records spans at all.

@@ -524,12 +524,7 @@ mod tests {
             let arbitrary = KAryMatching::from_tuples(
                 3,
                 4,
-                &[
-                    vec![0, 1, 2],
-                    vec![1, 2, 3],
-                    vec![2, 3, 0],
-                    vec![3, 0, 1],
-                ],
+                &[vec![0, 1, 2], vec![1, 2, 3], vec![2, 3, 0], vec![3, 0, 1]],
             );
             for m in [&stable, &arbitrary] {
                 let dfs = find_blocking_family(&inst, m);

@@ -179,7 +179,8 @@ pub fn write_bundle_atomic(dir: &Path, bundle: &Value, trigger: &str) -> std::io
 }
 
 fn req<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing key {key:?}"))
+    v.get(key)
+        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))
 }
 
 fn req_num(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
@@ -211,7 +212,9 @@ fn check_parsed_trace(events: &[Value]) -> Result<(), String> {
         let ts = req_num(ev, "ts_ns", &ctx)?;
         req_num(ev, "arg", &ctx)?;
         if ts < last_ts {
-            return Err(format!("{ctx}: timestamp {ts} went backwards (previous {last_ts})"));
+            return Err(format!(
+                "{ctx}: timestamp {ts} went backwards (previous {last_ts})"
+            ));
         }
         last_ts = ts;
         match kind {
@@ -219,7 +222,9 @@ fn check_parsed_trace(events: &[Value]) -> Result<(), String> {
             "E" => match stack.pop() {
                 Some(open) if open == name => {}
                 Some(open) => {
-                    return Err(format!("{ctx}: end {name:?} does not match open span {open:?}"));
+                    return Err(format!(
+                        "{ctx}: end {name:?} does not match open span {open:?}"
+                    ));
                 }
                 // Ring truncation: the begin fell off the front.
                 None => {}
@@ -237,7 +242,9 @@ fn check_parsed_trace(events: &[Value]) -> Result<(), String> {
 pub fn validate_bundle(v: &Value) -> Result<(), String> {
     let schema = req_str(v, "schema", "bundle")?;
     if schema != POSTMORTEM_SCHEMA {
-        return Err(format!("bundle: schema {schema:?}, expected {POSTMORTEM_SCHEMA:?}"));
+        return Err(format!(
+            "bundle: schema {schema:?}, expected {POSTMORTEM_SCHEMA:?}"
+        ));
     }
     let trigger = req_str(v, "trigger", "bundle")?;
     if trigger.is_empty() {
@@ -247,11 +254,19 @@ pub fn validate_bundle(v: &Value) -> Result<(), String> {
     req_num(v, "uptime_ns", "bundle")?;
     match req(v, "seed", "bundle")? {
         Value::Number(_) | Value::Null => {}
-        other => return Err(format!("bundle: seed is neither number nor null ({other:?})")),
+        other => {
+            return Err(format!(
+                "bundle: seed is neither number nor null ({other:?})"
+            ))
+        }
     }
     match req(v, "rss_bytes", "bundle")? {
         Value::Number(_) | Value::Null => {}
-        other => return Err(format!("bundle: rss_bytes is neither number nor null ({other:?})")),
+        other => {
+            return Err(format!(
+                "bundle: rss_bytes is neither number nor null ({other:?})"
+            ))
+        }
     }
     match req(v, "config", "bundle")? {
         Value::Object(pairs) => {
@@ -291,7 +306,11 @@ pub fn validate_bundle(v: &Value) -> Result<(), String> {
     }
     match req(v, "window", "bundle")? {
         Value::Object(_) | Value::Null => {}
-        other => return Err(format!("bundle: window is neither object nor null ({other:?})")),
+        other => {
+            return Err(format!(
+                "bundle: window is neither object nor null ({other:?})"
+            ))
+        }
     }
     let logs = req_str(v, "logs_jsonl", "bundle")?;
     for (i, line) in logs.lines().filter(|l| !l.trim().is_empty()).enumerate() {
@@ -314,7 +333,11 @@ pub fn validate_bundle(v: &Value) -> Result<(), String> {
                 return Err("profile: stacks is not an array".to_string());
             }
         }
-        other => return Err(format!("bundle: profile is neither object nor null ({other:?})")),
+        other => {
+            return Err(format!(
+                "bundle: profile is neither object nor null ({other:?})"
+            ))
+        }
     }
     Ok(())
 }
@@ -406,12 +429,36 @@ mod tests {
     use super::*;
     use kmatch_obs::phase;
 
-    fn sample_inputs() -> (Vec<TraceEvent>, Vec<ProgressSnapshot>, Vec<(String, String)>) {
+    fn sample_inputs() -> (
+        Vec<TraceEvent>,
+        Vec<ProgressSnapshot>,
+        Vec<(String, String)>,
+    ) {
         let events = vec![
-            TraceEvent { kind: EventKind::End, name: "gs.round", ts_ns: 5, arg: 0 },
-            TraceEvent { kind: EventKind::Begin, name: "gs.solve", ts_ns: 10, arg: 4 },
-            TraceEvent { kind: EventKind::Instant, name: "cache.miss", ts_ns: 11, arg: 0 },
-            TraceEvent { kind: EventKind::End, name: "gs.solve", ts_ns: 20, arg: 0 },
+            TraceEvent {
+                kind: EventKind::End,
+                name: "gs.round",
+                ts_ns: 5,
+                arg: 0,
+            },
+            TraceEvent {
+                kind: EventKind::Begin,
+                name: "gs.solve",
+                ts_ns: 10,
+                arg: 4,
+            },
+            TraceEvent {
+                kind: EventKind::Instant,
+                name: "cache.miss",
+                ts_ns: 11,
+                arg: 0,
+            },
+            TraceEvent {
+                kind: EventKind::End,
+                name: "gs.solve",
+                ts_ns: 20,
+                arg: 0,
+            },
         ];
         let progress = vec![ProgressSnapshot {
             worker: 0,
@@ -474,8 +521,18 @@ mod tests {
         assert!(validate_bundle(&bad).unwrap_err().contains("schema"));
         // Crossed trace end.
         let (mut events, progress, config) = sample_inputs();
-        events.push(TraceEvent { kind: EventKind::Begin, name: "a", ts_ns: 30, arg: 0 });
-        events.push(TraceEvent { kind: EventKind::End, name: "b", ts_ns: 31, arg: 0 });
+        events.push(TraceEvent {
+            kind: EventKind::Begin,
+            name: "a",
+            ts_ns: 30,
+            arg: 0,
+        });
+        events.push(TraceEvent {
+            kind: EventKind::End,
+            name: "b",
+            ts_ns: 31,
+            arg: 0,
+        });
         let crossed = bundle_json(&BundleInputs {
             trigger: "stall",
             now_ns: 1,
@@ -491,7 +548,9 @@ mod tests {
             seed: None,
             rss_bytes: None,
         });
-        assert!(validate_bundle(&crossed).unwrap_err().contains("does not match"));
+        assert!(validate_bundle(&crossed)
+            .unwrap_err()
+            .contains("does not match"));
         // Garbage log line.
         let mut bad_logs = good.clone();
         if let Value::Object(pairs) = &mut bad_logs {
@@ -510,7 +569,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let bundle = sample_bundle();
         let path = write_bundle_atomic(&dir, &bundle, "unit/test!").expect("write");
-        assert!(path.file_name().unwrap().to_string_lossy().contains("unit-test"));
+        assert!(path
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .contains("unit-test"));
         let text = std::fs::read_to_string(&path).expect("read back");
         let parsed: Value = serde_json::from_str(&text).expect("parses");
         validate_bundle(&parsed).expect("valid on disk");

@@ -120,8 +120,13 @@ impl<M: Metrics, T: ProbeTarget> Probed<M, T> {
     fn flush(&mut self) {
         if T::ENABLED {
             self.pending = 0;
-            self.target
-                .publish(self.phase, self.attempt, self.cut, self.round, self.proposals);
+            self.target.publish(
+                self.phase,
+                self.attempt,
+                self.cut,
+                self.round,
+                self.proposals,
+            );
         }
     }
 
@@ -406,6 +411,9 @@ mod tests {
         assert_eq!(probe.snapshot().cut, 64, "phase published before the sleep");
         let t1 = std::time::Instant::now();
         m.escalation_attempt(128);
-        assert!(t1.elapsed() < std::time::Duration::from_millis(30), "only stalls once");
+        assert!(
+            t1.elapsed() < std::time::Duration::from_millis(30),
+            "only stalls once"
+        );
     }
 }

@@ -254,7 +254,11 @@ mod tests {
             set.names().intern("gs.round"),
         ];
         assert_eq!(agg.stacks.get(&busy), Some(&3));
-        assert_eq!(agg.stacks.get(&Vec::new()), Some(&7), "2 idle lane-0 ticks + 5 lane-1 ticks");
+        assert_eq!(
+            agg.stacks.get(&Vec::new()),
+            Some(&7),
+            "2 idle lane-0 ticks + 5 lane-1 ticks"
+        );
         let text = core.collapsed(set.names());
         assert_eq!(text, "(idle) 7\ngs.solve;gs.round 3\n");
         let json = core.to_json(set.names());

@@ -205,9 +205,8 @@ impl GsWorkspace {
     /// Prepare all buffers for an instance of size `n`. Returns whether
     /// any scratch buffer had to grow (the metrics fresh/reuse signal).
     fn reset(&mut self, n: usize) -> bool {
-        let fresh = self.next.capacity() < n
-            || self.best.capacity() < n
-            || self.free.capacity() < n;
+        let fresh =
+            self.next.capacity() < n || self.best.capacity() < n || self.free.capacity() < n;
         self.next.clear();
         self.next.resize(n, 0);
         self.best.clear();
@@ -499,8 +498,13 @@ fn run_rounds_kernel<P: PrefOracle, M: Metrics, S: SpanSink>(
         // O(free_len) round it fronts.
         ws.next_free.clear();
         ws.next_free.resize(free_len, 0);
-        let (nf_len, rejections, swaps) =
-            kernel_round(prefs, &ws.free, &mut ws.next, &mut ws.best, &mut ws.next_free);
+        let (nf_len, rejections, swaps) = kernel_round(
+            prefs,
+            &ws.free,
+            &mut ws.next,
+            &mut ws.best,
+            &mut ws.next_free,
+        );
         stats.proposals += free_len as u64;
         metrics.round_bulk(free_len as u64, rejections, swaps);
         if S::FINE {
@@ -618,7 +622,6 @@ fn resolve_strip(
     }
 }
 
-
 /// Run proposer-proposing Gale–Shapley; returns the proposer-optimal stable
 /// matching with proposal/round counts.
 ///
@@ -641,10 +644,7 @@ pub fn gale_shapley<P: PrefOracle>(prefs: &P) -> GsOutcome {
 
 /// [`gale_shapley`] recording counters into `metrics`; batch callers
 /// should hold a workspace and call [`GsWorkspace::solve_metered`].
-pub fn gale_shapley_metered<P: PrefOracle, M: Metrics>(
-    prefs: &P,
-    metrics: &mut M,
-) -> GsOutcome {
+pub fn gale_shapley_metered<P: PrefOracle, M: Metrics>(prefs: &P, metrics: &mut M) -> GsOutcome {
     GsWorkspace::new().solve_metered(prefs, metrics)
 }
 
@@ -672,10 +672,7 @@ pub fn gale_shapley_reference<P: BipartitePrefs>(prefs: &P) -> GsOutcome {
     run_reference(prefs, None)
 }
 
-fn run_reference<P: BipartitePrefs>(
-    prefs: &P,
-    mut trace: Option<&mut Vec<GsEvent>>,
-) -> GsOutcome {
+fn run_reference<P: BipartitePrefs>(prefs: &P, mut trace: Option<&mut Vec<GsEvent>>) -> GsOutcome {
     let n = prefs.n();
     assert!(n > 0, "empty instance");
     // next[m]: position in m's list of the next responder to propose to.
@@ -1052,4 +1049,3 @@ mod tests {
         }
     }
 }
-

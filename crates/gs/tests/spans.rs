@@ -4,9 +4,7 @@
 use kmatch_gs::{gale_shapley, GsWorkspace};
 use kmatch_obs::{ManualClock, NoMetrics};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
-use kmatch_trace::{
-    check_well_formed, span, EventKind, FlightRecorder, NoSpans, TraceRecorder,
-};
+use kmatch_trace::{check_well_formed, span, EventKind, FlightRecorder, NoSpans, TraceRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -36,7 +34,10 @@ fn solve_spanned_emits_one_round_span_per_round() {
         .filter(|e| e.kind == EventKind::Begin && e.name == span::GS_ROUND)
         .map(|e| e.arg)
         .collect();
-    assert_eq!(round_args, (1..=out.stats.rounds as u64).collect::<Vec<_>>());
+    assert_eq!(
+        round_args,
+        (1..=out.stats.rounds as u64).collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -67,7 +68,10 @@ fn flight_recorder_gets_phase_spans_but_no_round_spans() {
     let mut ws = GsWorkspace::new();
     let out = ws.solve_spanned(&inst, &mut NoMetrics, &mut ring);
     assert_eq!(out.matching, gale_shapley(&inst).matching);
-    assert!(out.stats.rounds > 1, "a 32-way instance takes several rounds");
+    assert!(
+        out.stats.rounds > 1,
+        "a 32-way instance takes several rounds"
+    );
     let events = ring.events();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events.len(), 2, "begin + end of gs.solve, nothing else");

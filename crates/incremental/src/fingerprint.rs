@@ -87,7 +87,10 @@ where
         combined = (combined.0 ^ h.0, combined.1 ^ h.1);
     }
     for w in 0..n as u32 {
-        let h = hash_row_fp(side_tag(DeltaSide::Responder, w), prefs.responder_list_slice(w));
+        let h = hash_row_fp(
+            side_tag(DeltaSide::Responder, w),
+            prefs.responder_list_slice(w),
+        );
         combined = (combined.0 ^ h.0, combined.1 ^ h.1);
     }
     combined

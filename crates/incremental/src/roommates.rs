@@ -10,8 +10,8 @@
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{PrefsError, RoommatesInstance};
-use kmatch_trace::{span, NoSpans, SpanSink};
 use kmatch_roommates::{RoommatesMatching, RoommatesOutcome, RoommatesWorkspace, SolveStats};
+use kmatch_trace::{span, NoSpans, SpanSink};
 
 use crate::cache::SolveCache;
 use crate::fingerprint::{hash_row_fp, patch, Fp};

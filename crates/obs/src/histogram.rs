@@ -212,9 +212,18 @@ impl Log2Histogram {
             ("sum".into(), Value::Number(self.sum as f64)),
             ("min".into(), Value::Number(self.min() as f64)),
             ("max".into(), Value::Number(self.max as f64)),
-            ("p50".into(), Value::Number(self.value_at_quantile(0.50) as f64)),
-            ("p90".into(), Value::Number(self.value_at_quantile(0.90) as f64)),
-            ("p99".into(), Value::Number(self.value_at_quantile(0.99) as f64)),
+            (
+                "p50".into(),
+                Value::Number(self.value_at_quantile(0.50) as f64),
+            ),
+            (
+                "p90".into(),
+                Value::Number(self.value_at_quantile(0.90) as f64),
+            ),
+            (
+                "p99".into(),
+                Value::Number(self.value_at_quantile(0.99) as f64),
+            ),
             ("buckets".into(), Value::Array(buckets)),
         ])
     }
@@ -239,7 +248,11 @@ impl Log2Histogram {
                 bucket_upper_bound(i)
             );
         }
-        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", self.count);
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
+            self.count
+        );
         let braces = if labels.is_empty() {
             String::new()
         } else {

@@ -138,7 +138,10 @@ mod tests {
         ];
         for s in hostile {
             let escaped = escape_label_value(s);
-            assert!(!escaped.contains('\n'), "escaped form is single-line: {escaped:?}");
+            assert!(
+                !escaped.contains('\n'),
+                "escaped form is single-line: {escaped:?}"
+            );
             assert_eq!(unescape_label_value(&escaped), s, "round trip of {s:?}");
         }
     }

@@ -74,7 +74,10 @@ impl LogRecord {
     pub fn to_json_line(&self) -> String {
         let mut obj = vec![
             ("schema".to_string(), Value::String(LOG_SCHEMA.to_string())),
-            ("level".to_string(), Value::String(self.level.as_str().to_string())),
+            (
+                "level".to_string(),
+                Value::String(self.level.as_str().to_string()),
+            ),
             ("ts_ns".to_string(), Value::Number(self.ts_ns as f64)),
             ("solver".to_string(), Value::String(self.solver.clone())),
             ("msg".to_string(), Value::String(self.msg.clone())),
@@ -184,8 +187,7 @@ impl OpsLog {
     /// result is the newest `n` matching records, not the matches among
     /// the newest `n`.
     pub fn tail_jsonl_min_level(&self, n: usize, min: Level) -> String {
-        let matching: Vec<&LogRecord> =
-            self.records.iter().filter(|r| r.level >= min).collect();
+        let matching: Vec<&LogRecord> = self.records.iter().filter(|r| r.level >= min).collect();
         let skip = matching.len().saturating_sub(n);
         let mut out = String::new();
         for rec in matching.into_iter().skip(skip) {
@@ -298,7 +300,11 @@ mod tests {
             vec![("k\"ey".into(), "v\nal".into())],
         );
         let text = log.tail_jsonl(1);
-        assert_eq!(text.lines().count(), 1, "escapes keep the record on one line");
+        assert_eq!(
+            text.lines().count(),
+            1,
+            "escapes keep the record on one line"
+        );
         let v: Value = serde_json::from_str(text.trim()).expect("valid JSON");
         match v.get("msg") {
             Some(Value::String(s)) => assert!(s.contains('\n')),

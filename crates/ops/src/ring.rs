@@ -93,7 +93,10 @@ mod tests {
         ring.ingest(&[ev(1), ev(2)], 0);
         ring.ingest(&[ev(3), ev(4), ev(5)], 7);
         let (events, dropped) = ring.drain();
-        assert_eq!(events.iter().map(|e| e.ts_ns).collect::<Vec<_>>(), vec![3, 4, 5]);
+        assert_eq!(
+            events.iter().map(|e| e.ts_ns).collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
         assert_eq!(dropped, 9, "7 upstream + 2 evicted here");
         // Drain resets both.
         let (events, dropped) = ring.drain();

@@ -89,8 +89,8 @@ mod tests {
             }
             arm_sigint();
             arm_sigint(); // idempotent
-            // SAFETY: raising a signal we just installed a latching
-            // handler for; the handler is async-signal-safe.
+                          // SAFETY: raising a signal we just installed a latching
+                          // handler for; the handler is async-signal-safe.
             unsafe {
                 raise(2);
             }

@@ -119,10 +119,7 @@ impl OpsState {
     /// bundle policy). `GET /progress` and `GET /profile` answer 404
     /// until this is called.
     pub fn attach_forensics(&self, plane: ForensicsPlane) {
-        *self
-            .forensics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(plane);
+        *self.forensics.lock().unwrap_or_else(|e| e.into_inner()) = Some(plane);
     }
 
     /// The attached forensic plane, if any (cheap: the plane is a bag of
@@ -560,7 +557,11 @@ impl OpsState {
             "gauge",
             "Seconds since the operator plane was armed",
         );
-        let _ = writeln!(out, "kmatch_uptime_seconds {}", self.uptime_ns() as f64 / 1e9);
+        let _ = writeln!(
+            out,
+            "kmatch_uptime_seconds {}",
+            self.uptime_ns() as f64 / 1e9
+        );
         drop(inner);
         if let Some(plane) = self.forensics() {
             let snaps = plane.probes.snapshot();
@@ -622,22 +623,24 @@ mod tests {
         shard.solve_done(true, 1);
         shard.solve_ns(500);
         state.registry().absorb(shard);
-        state.registry().record_execution(kmatch_obs::ExecutionRecord {
-            path: "serial",
-            threads: 1,
-            task_count: 1,
-            steal_count: 0,
-            straggler_ratio: 1.0,
-        });
+        state
+            .registry()
+            .record_execution(kmatch_obs::ExecutionRecord {
+                path: "serial",
+                threads: 1,
+                task_count: 1,
+                steal_count: 0,
+                straggler_ratio: 1.0,
+            });
         state.note_wave(100);
         clock.advance(5_000);
         state.tick(&[1]);
         let text = state.render_metrics();
         for family in [
-            "kmatch_proposals_total",       // solver counter
-            "kmatch_solve_wall_ns_bucket",  // histogram
-            "kmatch_peak_rss_bytes",        // RSS gauge
-            "kmatch_executor_threads",      // executor gauge
+            "kmatch_proposals_total",      // solver counter
+            "kmatch_solve_wall_ns_bucket", // histogram
+            "kmatch_peak_rss_bytes",       // RSS gauge
+            "kmatch_executor_threads",     // executor gauge
             "kmatch_window_proposals_per_second",
             "kmatch_window_solvable_ratio",
             "kmatch_window_solve_ns_p50",
@@ -771,10 +774,7 @@ mod tests {
         let text = std::fs::read_to_string(&entries[0]).expect("readable");
         let bundle: Value = serde_json::from_str(&text).expect("bundle parses");
         kmatch_forensics::validate_bundle(&bundle).expect("bundle validates");
-        assert_eq!(
-            bundle.get("trigger"),
-            Some(&Value::String("stall".into()))
-        );
+        assert_eq!(bundle.get("trigger"), Some(&Value::String("stall".into())));
         assert!(text.contains("cache.hit"), "ring drained into bundle");
         // A still-ongoing stall does not write a second bundle.
         clock.advance(2_000);

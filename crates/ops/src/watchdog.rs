@@ -158,19 +158,37 @@ mod tests {
         assert!(w.sample(0, &[5]).is_empty(), "first sight arms the lane");
         assert!(w.sample(50, &[5]).is_empty(), "under the threshold");
         let ev = w.sample(100, &[5]);
-        assert_eq!(ev, vec![StallEvent { worker: 0, idle_ns: 100, resumed: false }]);
+        assert_eq!(
+            ev,
+            vec![StallEvent {
+                worker: 0,
+                idle_ns: 100,
+                resumed: false
+            }]
+        );
         assert_eq!(w.stalled_workers(), vec![0]);
         // Still stalled: silent, no event spam.
         assert!(w.sample(200, &[5]).is_empty());
         assert!(w.sample(300, &[5]).is_empty());
         // Progress resumes: exactly one recovery event.
         let ev = w.sample(350, &[6]);
-        assert_eq!(ev, vec![StallEvent { worker: 0, idle_ns: 350, resumed: true }]);
+        assert_eq!(
+            ev,
+            vec![StallEvent {
+                worker: 0,
+                idle_ns: 350,
+                resumed: true
+            }]
+        );
         assert_eq!(w.stalled_count(), 0);
         // And the clock restarts from the resume point.
         assert!(w.sample(400, &[6]).is_empty());
         assert_eq!(w.sample(449, &[6]).len(), 0);
-        assert_eq!(w.sample(450, &[6]).len(), 1, "stalls again 100ns after resume");
+        assert_eq!(
+            w.sample(450, &[6]).len(),
+            1,
+            "stalls again 100ns after resume"
+        );
     }
 
     #[test]
@@ -194,7 +212,14 @@ mod tests {
         w.sample(0, &[0, 0]);
         w.sample(60, &[1, 0]); // lane 0 advances, lane 1 silent
         let ev = w.sample(110, &[2, 0]);
-        assert_eq!(ev, vec![StallEvent { worker: 1, idle_ns: 110, resumed: false }]);
+        assert_eq!(
+            ev,
+            vec![StallEvent {
+                worker: 1,
+                idle_ns: 110,
+                resumed: false
+            }]
+        );
         assert_eq!(w.stalled_workers(), vec![1]);
     }
 }

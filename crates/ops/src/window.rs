@@ -157,11 +157,21 @@ mod tests {
         w.tick(1_000_000_000, snap(100, 10, &[]));
         w.tick(2_000_000_000, snap(300, 20, &[]));
         // Window of 1s ending at t=2s: baseline is the t=1s slot.
-        let rate = w.rate(2_000_000_000, 1_000_000_000, |m| m.proposals).unwrap();
-        assert!((rate - 200.0).abs() < 1e-9, "200 proposals over 1s, got {rate}");
+        let rate = w
+            .rate(2_000_000_000, 1_000_000_000, |m| m.proposals)
+            .unwrap();
+        assert!(
+            (rate - 200.0).abs() < 1e-9,
+            "200 proposals over 1s, got {rate}"
+        );
         // Window of 10s: baseline falls to the armed zero slot.
-        let rate = w.rate(2_000_000_000, 10_000_000_000, |m| m.proposals).unwrap();
-        assert!((rate - 150.0).abs() < 1e-9, "300 proposals over 2s, got {rate}");
+        let rate = w
+            .rate(2_000_000_000, 10_000_000_000, |m| m.proposals)
+            .unwrap();
+        assert!(
+            (rate - 150.0).abs() < 1e-9,
+            "300 proposals over 2s, got {rate}"
+        );
     }
 
     #[test]
@@ -173,11 +183,15 @@ mod tests {
         }
         assert_eq!(w.len(), 4);
         // 2s window ending at t=8: baseline = slot at t=6.
-        let rate = w.rate(8_000_000_000, 2_000_000_000, |m| m.proposals).unwrap();
+        let rate = w
+            .rate(8_000_000_000, 2_000_000_000, |m| m.proposals)
+            .unwrap();
         assert!((rate - 50.0).abs() < 1e-9, "{rate}");
         // A window wider than the surviving ring clamps to the oldest
         // slot (t=5) and reports the rate over the actual 3s span.
-        let rate = w.rate(8_000_000_000, 60_000_000_000, |m| m.proposals).unwrap();
+        let rate = w
+            .rate(8_000_000_000, 60_000_000_000, |m| m.proposals)
+            .unwrap();
         assert!((rate - 50.0).abs() < 1e-9, "{rate}");
     }
 
@@ -188,10 +202,14 @@ mod tests {
         w.tick(1_000_000_000, snap(100, 1, &[]));
         // Nothing happens for 9 seconds, then one more tick, no progress.
         w.tick(10_000_000_000, snap(100, 1, &[]));
-        let rate = w.rate(10_000_000_000, 5_000_000_000, |m| m.proposals).unwrap();
+        let rate = w
+            .rate(10_000_000_000, 5_000_000_000, |m| m.proposals)
+            .unwrap();
         assert_eq!(rate, 0.0, "no proposals inside the window");
         // The full-history window sees 100 proposals over 10s.
-        let rate = w.rate(10_000_000_000, 20_000_000_000, |m| m.proposals).unwrap();
+        let rate = w
+            .rate(10_000_000_000, 20_000_000_000, |m| m.proposals)
+            .unwrap();
         assert!((rate - 10.0).abs() < 1e-9, "{rate}");
     }
 
@@ -205,11 +223,18 @@ mod tests {
         w.tick(2_000_000_000, snap(0, 4, &[100, 100, 1_000_000, 1_000_000]));
         // 1s window: only the slow pair. log2 buckets: p50 upper bound
         // for 1_000_000 is 2^20-ish; exact max clamps to 1_000_000.
-        let p50 = w.solve_ns_quantile(2_000_000_000, 1_000_000_000, 0.50).unwrap();
+        let p50 = w
+            .solve_ns_quantile(2_000_000_000, 1_000_000_000, 0.50)
+            .unwrap();
         assert!(p50 >= 524_288, "window p50 must be a slow solve, got {p50}");
         // Full window: p50 is a fast solve.
-        let p50_all = w.solve_ns_quantile(2_000_000_000, 5_000_000_000, 0.50).unwrap();
-        assert!(p50_all <= 128, "overall p50 must be a fast solve, got {p50_all}");
+        let p50_all = w
+            .solve_ns_quantile(2_000_000_000, 5_000_000_000, 0.50)
+            .unwrap();
+        assert!(
+            p50_all <= 128,
+            "overall p50 must be a fast solve, got {p50_all}"
+        );
     }
 
     #[test]

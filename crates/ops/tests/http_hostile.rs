@@ -72,7 +72,12 @@ fn malformed_request_lines_get_400() {
         b"\x00\x01\x02\xff\xfe binary noise\r\n\r\n",
     ] {
         let r = raw_request(addr, garbage);
-        assert_eq!(status_of(&r), 400, "for {:?} got {r}", String::from_utf8_lossy(garbage));
+        assert_eq!(
+            status_of(&r),
+            400,
+            "for {:?} got {r}",
+            String::from_utf8_lossy(garbage)
+        );
     }
     server.shutdown();
 }
@@ -264,7 +269,10 @@ fn logs_level_filter_applies_over_http() {
     let r = get(addr, "/logs?level=warn");
     assert_eq!(status_of(&r), 200, "{r}");
     let body = r.split("\r\n\r\n").nth(1).unwrap_or("");
-    assert!(body.contains("degraded") && body.contains("broken"), "{body}");
+    assert!(
+        body.contains("degraded") && body.contains("broken"),
+        "{body}"
+    );
     assert!(!body.contains("routine"), "{body}");
     // n= composes with level=.
     let r = get(addr, "/logs?level=warn&n=1");

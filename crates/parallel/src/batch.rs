@@ -400,8 +400,7 @@ mod tests {
         // A batch of O(1)-state oracles: per-worker workspaces solve them
         // exactly as a serial loop would.
         use kmatch_prefs::RandomOracle;
-        let batch: Vec<RandomOracle> =
-            (0..64).map(|seed| RandomOracle::new(24, seed)).collect();
+        let batch: Vec<RandomOracle> = (0..64).map(|seed| RandomOracle::new(24, seed)).collect();
         let outcomes = solve_batch(&batch);
         let mut ws = GsWorkspace::new();
         for (oracle, out) in batch.iter().zip(&outcomes) {

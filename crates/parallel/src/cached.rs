@@ -156,12 +156,7 @@ mod tests {
         let distinct: Vec<BipartiteInstance> =
             (0..8).map(|_| uniform_bipartite(16, &mut rng)).collect();
         // Each instance appears three times.
-        let batch: Vec<BipartiteInstance> = distinct
-            .iter()
-            .cycle()
-            .take(24)
-            .cloned()
-            .collect();
+        let batch: Vec<BipartiteInstance> = distinct.iter().cycle().take(24).cloned().collect();
         let mut cache = SolveCache::default();
         let registry = BatchRegistry::new();
         let out = solve_batch_cached(&batch, &mut cache, &registry, &ManualClock::new());

@@ -12,8 +12,7 @@ use rand_chacha::ChaCha8Rng;
 #[test]
 fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
     let mut rng = ChaCha8Rng::seed_from_u64(65);
-    let batch: Vec<BipartiteInstance> =
-        (0..120).map(|_| uniform_bipartite(20, &mut rng)).collect();
+    let batch: Vec<BipartiteInstance> = (0..120).map(|_| uniform_bipartite(20, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
     let (outs, traces) = solve_batch_traced(&batch, &registry, &clock, 1 << 16);
@@ -24,7 +23,10 @@ fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
         assert_eq!(a.stats, b.stats);
     }
     assert!(!traces.is_empty());
-    let task_count = registry.execution().expect("front records its execution").task_count;
+    let task_count = registry
+        .execution()
+        .expect("front records its execution")
+        .task_count;
     let mut solves = 0usize;
     let mut chunk_ids = Vec::new();
     for (i, t) in traces.iter().enumerate() {
@@ -59,8 +61,7 @@ fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
 #[test]
 fn tiny_flight_recorder_wraps_but_keeps_the_tail() {
     let mut rng = ChaCha8Rng::seed_from_u64(66);
-    let batch: Vec<BipartiteInstance> =
-        (0..64).map(|_| uniform_bipartite(16, &mut rng)).collect();
+    let batch: Vec<BipartiteInstance> = (0..64).map(|_| uniform_bipartite(16, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
     let (outs, traces) = solve_batch_traced(&batch, &registry, &clock, 32);
@@ -68,8 +69,14 @@ fn tiny_flight_recorder_wraps_but_keeps_the_tail() {
     // Each task emits a batch.chunk begin/end pair around one gs.solve
     // begin/end pair per instance; how tasks spread over workers is the
     // steal schedule's choice, so which rings wrap is too.
-    let task_count = registry.execution().expect("front records its execution").task_count;
-    let emitted: u64 = traces.iter().map(|t| t.events.len() as u64 + t.dropped).sum();
+    let task_count = registry
+        .execution()
+        .expect("front records its execution")
+        .task_count;
+    let emitted: u64 = traces
+        .iter()
+        .map(|t| t.events.len() as u64 + t.dropped)
+        .sum();
     assert_eq!(emitted, 2 * (batch.len() as u64 + task_count));
     if emitted > 32 * traces.len() as u64 {
         assert!(
@@ -95,8 +102,7 @@ fn tiny_flight_recorder_wraps_but_keeps_the_tail() {
 #[test]
 fn traced_roommates_batch_matches_plain() {
     let mut rng = ChaCha8Rng::seed_from_u64(67);
-    let batch: Vec<RoommatesInstance> =
-        (0..80).map(|_| uniform_roommates(12, &mut rng)).collect();
+    let batch: Vec<RoommatesInstance> = (0..80).map(|_| uniform_roommates(12, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
     let (outs, traces) = roommates::solve_batch_traced(&batch, &registry, &clock, 1 << 16);

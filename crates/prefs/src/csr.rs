@@ -89,7 +89,8 @@ impl CsrPrefs {
         self.proposer_lists.reserve(square);
         self.responder_lists.reserve(square);
         for m in 0..n as u32 {
-            self.proposer_lists.extend_from_slice(prefs.proposer_list(m));
+            self.proposer_lists
+                .extend_from_slice(prefs.proposer_list(m));
         }
         for w in 0..n as u32 {
             self.responder_lists

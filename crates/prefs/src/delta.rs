@@ -121,7 +121,10 @@ impl PrefDelta {
                 list.copy_from_slice(prefs);
             }
             PrefDelta::Swap { a, b, .. } => {
-                list.swap(pos(*a, "delta swap position")?, pos(*b, "delta swap position")?);
+                list.swap(
+                    pos(*a, "delta swap position")?,
+                    pos(*b, "delta swap position")?,
+                );
             }
             PrefDelta::Splice { from, to, .. } => {
                 let from = pos(*from, "delta splice position")?;

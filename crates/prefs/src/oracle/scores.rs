@@ -157,7 +157,9 @@ mod tests {
         let oracle = ScoreOracle::from_scores(&p, &r, 4);
         // Responder order by responder scores: 2, 0, 1.
         assert_eq!(
-            (0..3).map(|pos| oracle.candidate(0, pos)).collect::<Vec<_>>(),
+            (0..3)
+                .map(|pos| oracle.candidate(0, pos))
+                .collect::<Vec<_>>(),
             vec![2, 0, 1]
         );
         // Proposer ranks by proposer scores: 1 best, then 2, then 0.

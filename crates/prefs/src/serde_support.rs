@@ -68,7 +68,11 @@ pub struct BipartiteDto {
     pub responders: Vec<Vec<u32>>,
 }
 
-impl_json_struct!(BipartiteDto { n, proposers, responders });
+impl_json_struct!(BipartiteDto {
+    n,
+    proposers,
+    responders
+});
 
 impl From<&BipartiteInstance> for BipartiteDto {
     fn from(inst: &BipartiteInstance) -> Self {
@@ -145,7 +149,16 @@ pub struct PrefDeltaDto {
     pub to: u32,
 }
 
-impl_json_struct!(PrefDeltaDto { op, side, row, prefs, a, b, from, to });
+impl_json_struct!(PrefDeltaDto {
+    op,
+    side,
+    row,
+    prefs,
+    a,
+    b,
+    from,
+    to
+});
 
 impl From<&PrefDelta> for PrefDeltaDto {
     fn from(delta: &PrefDelta) -> Self {

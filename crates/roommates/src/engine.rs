@@ -364,7 +364,14 @@ impl RoommatesWorkspace {
         inst: &I,
         policy: &RotationPolicy,
     ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, &mut NoMetrics, &mut NoSpans)
+        run_core(
+            inst,
+            self,
+            policy,
+            &mut NoTrace,
+            &mut NoMetrics,
+            &mut NoSpans,
+        )
     }
 
     /// [`RoommatesWorkspace::solve`] with metric hooks: proposals, holder

@@ -254,7 +254,12 @@ fn noprogress_probed_escalating_allocates_like_plain() {
     let reps = 50u64;
     let plain = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics));
+            std::hint::black_box(solve_escalating_from(
+                &oracle,
+                &mut ws,
+                4,
+                &mut plain_metrics,
+            ));
         }
     });
     let through_probe = allocations_in(|| {
@@ -286,7 +291,12 @@ fn live_probe_escalating_allocates_like_plain() {
     let reps = 50u64;
     let plain = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics));
+            std::hint::black_box(solve_escalating_from(
+                &oracle,
+                &mut ws,
+                4,
+                &mut plain_metrics,
+            ));
         }
     });
     let live = allocations_in(|| {

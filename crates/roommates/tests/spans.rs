@@ -28,7 +28,10 @@ fn solvable_instance_emits_both_phases() {
         );
     }
     // irving.solve carries n and encloses everything.
-    assert_eq!(events.first().map(|e| (e.name, e.arg)), Some((span::IRVING_SOLVE, 6)));
+    assert_eq!(
+        events.first().map(|e| (e.name, e.arg)),
+        Some((span::IRVING_SOLVE, 6))
+    );
     assert_eq!(events.last().map(|e| e.name), Some(span::IRVING_SOLVE));
 }
 

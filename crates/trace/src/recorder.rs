@@ -206,12 +206,15 @@ mod tests {
         rec.end("a");
         let evs = rec.events();
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0], TraceEvent {
-            kind: EventKind::Begin,
-            name: "a",
-            ts_ns: 0,
-            arg: 7
-        });
+        assert_eq!(
+            evs[0],
+            TraceEvent {
+                kind: EventKind::Begin,
+                name: "a",
+                ts_ns: 0,
+                arg: 7
+            }
+        );
         assert_eq!(evs[1].ts_ns, 10);
         assert_eq!(evs[2].ts_ns, 15);
         assert_eq!(rec.take().len(), 3);

@@ -241,10 +241,7 @@ mod tests {
         check_well_formed(&late_orphan, true).unwrap();
         assert!(check_well_formed(&late_orphan, false).is_err());
         // A crossed end is a violation even in truncated mode.
-        let crossed = [
-            ev(EventKind::Begin, "c", 0),
-            ev(EventKind::End, "d", 1),
-        ];
+        let crossed = [ev(EventKind::Begin, "c", 0), ev(EventKind::End, "d", 1)];
         assert!(check_well_formed(&crossed, true).is_err());
     }
 }

@@ -72,13 +72,28 @@ mod tests {
     impl SpanSink for VecSink {
         const ENABLED: bool = true;
         fn begin(&mut self, name: &'static str, arg: u64) {
-            self.0.push(TraceEvent { kind: EventKind::Begin, name, ts_ns: 0, arg });
+            self.0.push(TraceEvent {
+                kind: EventKind::Begin,
+                name,
+                ts_ns: 0,
+                arg,
+            });
         }
         fn end(&mut self, name: &'static str) {
-            self.0.push(TraceEvent { kind: EventKind::End, name, ts_ns: 0, arg: 0 });
+            self.0.push(TraceEvent {
+                kind: EventKind::End,
+                name,
+                ts_ns: 0,
+                arg: 0,
+            });
         }
         fn instant(&mut self, name: &'static str, arg: u64) {
-            self.0.push(TraceEvent { kind: EventKind::Instant, name, ts_ns: 0, arg });
+            self.0.push(TraceEvent {
+                kind: EventKind::Instant,
+                name,
+                ts_ns: 0,
+                arg,
+            });
         }
     }
 
@@ -100,7 +115,10 @@ mod tests {
         const {
             assert!(<Tee<VecSink, NoSpans> as SpanSink>::ENABLED);
             assert!(!<Tee<NoSpans, NoSpans> as SpanSink>::ENABLED);
-            assert!(<Tee<VecSink, NoSpans> as SpanSink>::FINE, "VecSink defaults FINE");
+            assert!(
+                <Tee<VecSink, NoSpans> as SpanSink>::FINE,
+                "VecSink defaults FINE"
+            );
             assert!(!<Tee<NoSpans, NoSpans> as SpanSink>::FINE);
         }
     }
