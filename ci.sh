@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> cargo fmt --check"
+# The workspace is rustfmt-clean; keep it so, so that a change's diff holds
+# only its own lines. (perfbench/ is its own workspace and not checked.)
+cargo fmt --all -- --check
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -12,8 +12,8 @@
 //!   matchings (there are `k^{k−2}` trees by Cayley's formula).
 
 use kmatch_graph::{BindingTree, UnionFind};
-use kmatch_gs::{gale_shapley, GsStats, GsWorkspace};
-use kmatch_obs::Metrics;
+use kmatch_gs::{GsStats, GsWorkspace};
+use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
 use kmatch_trace::{span, NoSpans, SpanSink};
 
@@ -57,30 +57,37 @@ where
     KAryMatching::from_classes(k, n, &uf.classes())
 }
 
-/// Run `GS(i, j)` for one binding edge and merge its pairs into the
-/// union–find over global member ids.
-pub(crate) fn bind_edge(
+/// Map one binding edge's proposer–responder pairs, local indices within
+/// genders `i` and `j`, to global member ids ([`Member::global`]).
+pub fn global_pairs<I>(n: usize, (i, j): (u16, u16), pairs: I) -> impl Iterator<Item = (u32, u32)>
+where
+    I: IntoIterator<Item = (u32, u32)>,
+{
+    let global = move |g: u16, index: u32| Member::new(GenderId(g), index).global(n as u32);
+    pairs
+        .into_iter()
+        .map(move |(m, w)| (global(i, m), global(j, w)))
+}
+
+/// Solve one binding edge `GS(i, j)` (gender `i` proposing) on the
+/// instance's pair view, in place: no preference copy, only `ws`'s O(n)
+/// scratch. Records the edge's proposal count through
+/// [`Metrics::binding_edge`], appends its global-id pairs to `pairs`, and
+/// returns its stats. Every binding front-end (serial, parallel,
+/// incremental, and the §IV-B edge-list device) solves its edges here;
+/// callers own the per-edge span.
+pub fn solve_edge<M: Metrics, S: SpanSink>(
     inst: &KPartiteInstance,
-    uf: &mut UnionFind,
-    proposer: GenderId,
-    responder: GenderId,
+    (i, j): (u16, u16),
+    ws: &mut GsWorkspace,
+    metrics: &mut M,
+    spans: &mut S,
+    pairs: &mut Vec<(u32, u32)>,
 ) -> GsStats {
-    let n = inst.n() as u32;
-    let view = KPartitePairView::new(inst, proposer, responder);
-    let out = gale_shapley(&view);
-    for (m, w) in out.matching.pairs() {
-        let a = Member {
-            gender: proposer,
-            index: m,
-        }
-        .global(n);
-        let b = Member {
-            gender: responder,
-            index: w,
-        }
-        .global(n);
-        uf.union(a, b);
-    }
+    let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
+    let out = ws.solve_spanned(&view, metrics, spans);
+    metrics.binding_edge(out.stats.proposals);
+    pairs.extend(global_pairs(inst.n(), (i, j), out.matching.pairs()));
     out.stats
 }
 
@@ -90,17 +97,7 @@ pub(crate) fn bind_edge(
 /// # Panics
 /// If the tree's gender count differs from the instance's.
 pub fn bind_with_stats(inst: &KPartiteInstance, tree: &BindingTree) -> BindingOutcome {
-    let (k, n) = (inst.k(), inst.n());
-    assert_eq!(tree.k(), k, "binding tree must span the instance's genders");
-    let mut uf = UnionFind::new(k * n);
-    let per_edge: Vec<GsStats> = tree
-        .edges()
-        .iter()
-        .map(|&(i, j)| bind_edge(inst, &mut uf, GenderId(i), GenderId(j)))
-        .collect();
-    let classes = uf.classes();
-    let matching = KAryMatching::from_classes(k, n, &classes);
-    BindingOutcome { matching, per_edge }
+    bind_spanned(inst, tree, &mut NoMetrics, &mut NoSpans)
 }
 
 /// Algorithm 1, matching only.
@@ -156,36 +153,21 @@ pub fn bind_spanned<M: Metrics, S: SpanSink>(
 ) -> BindingOutcome {
     let (k, n) = (inst.k(), inst.n());
     assert_eq!(tree.k(), k, "binding tree must span the instance's genders");
-    let mut uf = UnionFind::new(k * n);
     let mut ws = GsWorkspace::new();
+    let mut pairs = Vec::with_capacity(tree.edges().len() * n);
     let per_edge: Vec<GsStats> = tree
         .edges()
         .iter()
         .enumerate()
-        .map(|(e, &(i, j))| {
-            let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
+        .map(|(e, &edge)| {
             spans.begin(span::BIND_EDGE, e as u64);
-            let out = ws.solve_spanned(&view, metrics, spans);
-            for (m, w) in out.matching.pairs() {
-                let a = Member {
-                    gender: GenderId(i),
-                    index: m,
-                }
-                .global(n as u32);
-                let b = Member {
-                    gender: GenderId(j),
-                    index: w,
-                }
-                .global(n as u32);
-                uf.union(a, b);
-            }
-            metrics.binding_edge(out.stats.proposals);
+            let stats = solve_edge(inst, edge, &mut ws, metrics, spans, &mut pairs);
             spans.end(span::BIND_EDGE);
-            out.stats
+            stats
         })
         .collect();
     let outcome = BindingOutcome {
-        matching: KAryMatching::from_classes(k, n, &uf.classes()),
+        matching: merge_edge_pairs(k, n, pairs),
         per_edge,
     };
     let bound = ((k - 1) * n * n) as u64;

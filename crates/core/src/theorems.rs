@@ -13,12 +13,15 @@
 //!   completion unstable.
 
 use kmatch_graph::UnionFind;
+use kmatch_gs::GsWorkspace;
+use kmatch_obs::NoMetrics;
 use kmatch_prefs::gen::adversarial::theorem1_roommates;
-use kmatch_prefs::{GenderId, KPartiteInstance};
+use kmatch_prefs::KPartiteInstance;
 use kmatch_roommates::brute::{all_perfect_matchings, stable_matching_exists_brute};
 use kmatch_roommates::kpartite::solve_global_binary;
+use kmatch_trace::NoSpans;
 
-use crate::binding::bind_edge;
+use crate::binding::solve_edge;
 use crate::kary::KAryMatching;
 
 /// The two halves of Theorem 1 for the adversarial instance `(k, n)`.
@@ -75,9 +78,13 @@ pub fn acceptability_graph(inst: &kmatch_prefs::RoommatesInstance) -> kmatch_gra
 /// cycle) cannot yield consistent k-tuples.
 pub fn binding_class_sizes(inst: &KPartiteInstance, edges: &[(u16, u16)]) -> Vec<usize> {
     let (k, n) = (inst.k(), inst.n());
+    let (mut ws, mut pairs) = (GsWorkspace::new(), Vec::new());
+    for &e in edges {
+        solve_edge(inst, e, &mut ws, &mut NoMetrics, &mut NoSpans, &mut pairs);
+    }
     let mut uf = UnionFind::new(k * n);
-    for &(i, j) in edges {
-        bind_edge(inst, &mut uf, GenderId(i), GenderId(j));
+    for (a, b) in pairs {
+        uf.union(a, b);
     }
     let mut sizes: Vec<usize> = uf.classes().into_iter().map(|c| c.len()).collect();
     sizes.sort_unstable();

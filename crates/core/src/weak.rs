@@ -28,11 +28,11 @@
 //! priority, each to any node already in the tree — `(k−1)!` possible trees
 //! (Fig. 6).
 
-use kmatch_graph::{is_bitonic_sequence, BindingTree, UnionFind};
+use kmatch_graph::{is_bitonic_sequence, BindingTree};
 use kmatch_gs::GsStats;
 use kmatch_prefs::{GenderId, KPartiteInstance, Member};
 
-use crate::binding::bind_edge;
+use crate::binding::bind_with_stats;
 use crate::blocking::BlockingFamily;
 use crate::kary::KAryMatching;
 
@@ -364,15 +364,8 @@ pub fn priority_bind(
     priorities: &GenderPriorities,
     choice: AttachChoice,
 ) -> (KAryMatching, Vec<GsStats>) {
-    let tree = priority_binding_tree(priorities, choice);
-    let (k, n) = (inst.k(), inst.n());
-    let mut uf = UnionFind::new(k * n);
-    let per_edge: Vec<GsStats> = tree
-        .edges()
-        .iter()
-        .map(|&(i, j)| bind_edge(inst, &mut uf, GenderId(i), GenderId(j)))
-        .collect();
-    (KAryMatching::from_classes(k, n, &uf.classes()), per_edge)
+    let out = bind_with_stats(inst, &priority_binding_tree(priorities, choice));
+    (out.matching, out.per_edge)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! reading of Corollary 1's `Δ` bottleneck; the even–odd path schedule of
 //! Corollary 2 finishes in two such rounds).
 
-use kmatch_core::KAryMatching;
-use kmatch_graph::{BindingTree, Schedule, UnionFind};
-use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
+use kmatch_core::{global_pairs, merge_edge_pairs, KAryMatching};
+use kmatch_graph::{BindingTree, Schedule};
+use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView};
 
 use crate::gs_agents::distributed_gale_shapley;
 use crate::network::NetworkStats;
@@ -36,7 +36,7 @@ pub fn distributed_bind(
 ) -> DistributedBindOutcome {
     let (k, n) = (inst.k(), inst.n());
     assert_eq!(tree.k(), k, "binding tree must span the instance's genders");
-    let mut uf = UnionFind::new(k * n);
+    let mut pairs = Vec::with_capacity(tree.edges().len() * n);
     let mut per_edge = vec![NetworkStats::default(); tree.edges().len()];
     let mut critical_path_rounds = 0u64;
     for round in schedule.rounds() {
@@ -45,26 +45,13 @@ pub fn distributed_bind(
             let (i, j) = tree.edges()[e];
             let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
             let out = distributed_gale_shapley(&view);
-            for (m, w) in out.matching.pairs() {
-                uf.union(
-                    Member {
-                        gender: GenderId(i),
-                        index: m,
-                    }
-                    .global(n as u32),
-                    Member {
-                        gender: GenderId(j),
-                        index: w,
-                    }
-                    .global(n as u32),
-                );
-            }
+            pairs.extend(global_pairs(n, (i, j), out.matching.pairs()));
             per_edge[e] = out.net;
             round_max = round_max.max(out.net.rounds as u64);
         }
         critical_path_rounds += round_max;
     }
-    let matching = KAryMatching::from_classes(k, n, &uf.classes());
+    let matching = merge_edge_pairs(k, n, pairs);
     let total_messages = per_edge.iter().map(|s| s.messages).sum();
     DistributedBindOutcome {
         matching,

@@ -1,6 +1,7 @@
 //! Differential property suite for the zero-allocation GS fast path.
 //!
-//! The workspace fast path, the traced path, and the CSR-arena path must
+//! The workspace fast path, the traced path, the CSR-arena path, and the
+//! strided k-partite pair view every k-ary binder solves in place must
 //! be *behaviorally indistinguishable* from `gale_shapley_reference` (the
 //! seed implementation, kept verbatim): identical matchings, identical
 //! proposal counts, identical round counts, on every instance. All
@@ -8,8 +9,8 @@
 //! case stream — failures reproduce exactly.
 
 use kmatch_gs::{gale_shapley_reference, gale_shapley_traced, GsWorkspace};
-use kmatch_prefs::gen::uniform::uniform_bipartite;
-use kmatch_prefs::CsrPrefs;
+use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
+use kmatch_prefs::{CsrPrefs, GenderId, KPartitePairView};
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -49,6 +50,22 @@ proptest! {
         let reference = gale_shapley_reference(&inst);
         let csr = CsrPrefs::from_prefs(&inst);
         let fast = GsWorkspace::new().solve(&csr);
+        prop_assert_eq!(&fast.matching, &reference.matching);
+        prop_assert_eq!(fast.stats, reference.stats);
+    }
+
+    fn kpartite_pair_view_equals_reference(
+        k in 2usize..6,
+        n in 1usize..32,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let inst = uniform_kpartite(k, n, &mut rng);
+        let i = rng.gen_range(0..k as u16);
+        let j = (i + rng.gen_range(1..k as u16)) % k as u16;
+        let view = KPartitePairView::new(&inst, GenderId(i), GenderId(j));
+        let reference = gale_shapley_reference(&view);
+        let fast = GsWorkspace::new().solve(&view);
         prop_assert_eq!(&fast.matching, &reference.matching);
         prop_assert_eq!(fast.stats, reference.stats);
     }

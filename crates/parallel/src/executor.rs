@@ -4,7 +4,8 @@
 //! and `j` and writes only its own pair list, so bindings with disjoint
 //! gender pairs are embarrassingly parallel. A round of bindings is thus
 //! just a set of independent tasks for [`crate::steal`], one per edge,
-//! each worker reusing one [`WorkerScratch`]. The executor runs either the
+//! each solving its pair view in place through [`kmatch_core::solve_edge`]
+//! on its worker's reused `GsWorkspace`. The executor runs either the
 //! whole edge set as one round ([`parallel_bind`] — legal because binding
 //! results never feed each other; only the final class merge is shared) or
 //! round-by-round following a schedule ([`parallel_bind_scheduled`] —
@@ -12,13 +13,13 @@
 //! by one binding per round).
 
 use kmatch_core::binding::BindingOutcome;
-use kmatch_core::{merge_edge_pairs, KAryMatching};
+use kmatch_core::{merge_edge_pairs, solve_edge, KAryMatching};
 use kmatch_graph::{BindingTree, Schedule};
-use kmatch_gs::GsStats;
+use kmatch_gs::{GsStats, GsWorkspace};
 use kmatch_obs::{BatchRegistry, Metrics, NoMetrics, SolverMetrics};
-use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
+use kmatch_prefs::KPartiteInstance;
+use kmatch_trace::NoSpans;
 
-use crate::scratch::WorkerScratch;
 use crate::steal::{default_threads, run_tasks, steal_seed};
 
 /// Outcome of a parallel binding run.
@@ -40,29 +41,6 @@ impl From<ParallelBindingOutcome> for BindingOutcome {
             per_edge: p.per_edge,
         }
     }
-}
-
-/// Run one binding edge `GS(i, j)`, returning its global-id pairs and
-/// stats.
-fn run_edge<M: Metrics>(
-    inst: &KPartiteInstance,
-    scratch: &mut WorkerScratch,
-    (i, j): (u16, u16),
-    metrics: &mut M,
-) -> (Vec<(u32, u32)>, GsStats) {
-    let n = inst.n() as u32;
-    let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
-    // The CSR snapshot preserves lists and ranks exactly, so the outcome
-    // (matching and stats) is identical to solving the view directly.
-    scratch.csr.load(&view);
-    let out = scratch.ws.solve_metered(&scratch.csr, metrics);
-    metrics.binding_edge(out.stats.proposals);
-    let global = |g: u16, index: u32| Member::new(GenderId(g), index).global(n);
-    let pairs = out
-        .matching
-        .pairs()
-        .map(|(m, w)| (global(i, m), global(j, w)));
-    (pairs.collect(), out.stats)
 }
 
 /// Bind `tree` round by round on `threads` executor workers: each round
@@ -93,10 +71,18 @@ pub(crate) fn bind_on<M: Metrics + Default + Send>(
             round.len(),
             threads,
             seed,
-            |_| WorkerScratch::default(),
-            |scratch, t| {
-                let mut shard = M::default();
-                (run_edge(inst, scratch, edges[round[t]], &mut shard), shard)
+            |_| GsWorkspace::new(),
+            |ws, t| {
+                let (mut shard, mut pairs) = (M::default(), Vec::with_capacity(n));
+                let stats = solve_edge(
+                    inst,
+                    edges[round[t]],
+                    ws,
+                    &mut shard,
+                    &mut NoSpans,
+                    &mut pairs,
+                );
+                ((pairs, stats), shard)
             },
         );
         for (&e, ((pairs, stats), shard)) in round.iter().zip(results) {

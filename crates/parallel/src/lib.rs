@@ -41,7 +41,6 @@ pub mod cached;
 pub mod executor;
 pub mod pram;
 pub mod roommates;
-pub mod scratch;
 pub mod steal;
 
 pub use batch::{
@@ -53,7 +52,6 @@ pub use executor::{
     parallel_bind, parallel_bind_metered, parallel_bind_scheduled, ParallelBindingOutcome,
 };
 pub use pram::{crew_cost, erew_cost, replication_rounds, PramCost, PramModel};
-pub use scratch::WorkerScratch;
 pub use steal::{
     default_threads, steal_seed, StealReport, WorkerLane, STEAL_SEED_ENV, TASKS_PER_WORKER,
 };
